@@ -760,11 +760,15 @@ let save_service_state device t state =
   in
   Printf.printf "\nstate sealed -> %s%s\n" state audit_note
 
-let write_metrics t = function
-  | None -> ()
-  | Some path ->
-      write_file path (Service.Scheduler.report t);
-      Printf.printf "metrics written -> %s\n" path
+(* [--metrics-out -] prints the report on stdout instead of a file. *)
+let write_report path report =
+  if path = "-" then print_string report
+  else begin
+    write_file path report;
+    Printf.printf "metrics written -> %s\n" path
+  end
+
+let write_metrics t = Option.iter (fun path -> write_report path (Service.Scheduler.report t))
 
 let workers_arg =
   Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc:"Worker pool size.")
@@ -833,7 +837,7 @@ let metrics_out_arg =
     value
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the Prometheus-style metrics report to $(docv) at exit.")
+        ~doc:"Write the Prometheus-style metrics report to $(docv) at exit ($(b,-) for stdout).")
 
 let state_arg =
   Arg.(
@@ -1234,15 +1238,13 @@ let fleet_cmd =
     | [] -> ()
     | q ->
         List.iter (fun (i, why) -> Printf.printf "QUARANTINED node %d: %s\n" i why) q);
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        let reports =
-          List.init nodes (fun i ->
-              Printf.sprintf "# node %d\n%s" i (Fleet.Coordinator.report t i))
-        in
-        write_file path (String.concat "\n" reports);
-        Printf.printf "per-node metrics written -> %s\n" path);
+    Option.iter
+      (fun path ->
+        write_report path
+          (String.concat "\n"
+             (List.init nodes (fun i ->
+                  Printf.sprintf "# node %d\n%s" i (Fleet.Coordinator.report t i)))))
+      metrics_out;
     let any_failed =
       List.exists
         (fun (_, (c : Service.Scheduler.completion)) ->

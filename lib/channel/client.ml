@@ -80,15 +80,9 @@ let stream_seq ?meta t =
   let w = Record.writer ~secret:(Record.traffic_secret ~key:t.session_key) in
   Record.payload_record_seq ?meta w t.payload
 
-let stream_messages ?meta t = List.of_seq (stream_seq ?meta t)
-
 (* What the client stashes alongside the opaque ticket blob: the
    resumption secret it can later prove possession of. *)
 let resumption t = if t.session = None then None else Some (Record.resumption_secret ~key:t.session_key)
-
-let stash_ticket t = function
-  | Wire.Ticket { blob } -> Option.map (fun secret -> (blob, secret)) (resumption t)
-  | _ -> None
 
 (* --- 0-RTT resumption ----------------------------------------------- *)
 
@@ -98,8 +92,6 @@ let zero_rtt_seq ?meta t ~resumption =
   let secret = Record.zero_rtt_secret ~resumption ~nonce:t.challenge_bytes in
   let w = Record.writer ~secret in
   Record.payload_record_seq ?meta w t.payload
-
-let zero_rtt_messages ?meta t ~resumption = List.of_seq (zero_rtt_seq ?meta t ~resumption)
 
 let check_resume_accept t ~resumption = function
   | Wire.Resume_accept { confirm } ->

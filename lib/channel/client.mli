@@ -53,33 +53,24 @@ val read_verdict : Wire.t -> (bool * string, failure) result
 
 (** {1 Streaming transfers and 0-RTT resumption} *)
 
-val stream_messages : ?meta:Record.meta -> t -> Wire.t list
-(** Step 3, streaming flavor: the payload as EGREC1 [Record]s (traffic
-    keys derived from the wrapped session key). Requires a successful
-    {!handle_quote} first. *)
-
 val stream_seq : ?meta:Record.meta -> t -> Wire.t Seq.t
-(** Lazy one-shot variant of {!stream_messages} (see
-    {!Record.payload_record_seq}). *)
+(** Step 3, streaming flavor: the payload as a lazy one-shot sequence
+    of EGREC1 [Record]s (see {!Record.payload_record_seq}), under
+    traffic keys derived from the wrapped session key. Requires a
+    successful {!handle_quote} first. *)
 
 val resumption : t -> string option
 (** The resumption secret this session's ticket will bind; [None]
     before the handshake completes. *)
 
-val stash_ticket : t -> Wire.t -> (string * string) option
-(** From an inspector's [Ticket] message, the [(blob, resumption
-    secret)] pair the client stores for later 0-RTT use. *)
-
 val resume_opener : t -> ticket:string -> Wire.t
 (** The [Resume] message replacing [Client_hello]: the stored ticket
     plus a fresh nonce salting the 0-RTT traffic keys. *)
 
-val zero_rtt_messages : ?meta:Record.meta -> t -> resumption:string -> Wire.t list
-(** The payload streamed immediately after {!resume_opener}, under keys
-    derived from the stashed resumption secret — no RSA handshake. *)
-
 val zero_rtt_seq : ?meta:Record.meta -> t -> resumption:string -> Wire.t Seq.t
-(** Lazy one-shot variant of {!zero_rtt_messages}. *)
+(** The payload streamed immediately after {!resume_opener}, as a lazy
+    one-shot record sequence under keys derived from the stashed
+    resumption secret — no RSA handshake. *)
 
 val check_resume_accept : t -> resumption:string -> Wire.t -> bool
 (** Whether a [Resume_accept] proves the inspector unsealed our

@@ -171,6 +171,8 @@ let build_enclave c epc perf =
 
 exception Reject of rejection
 
+let tampered why = raise (Reject (Transfer_tampered why))
+
 let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
 
 (* ------------------------------------------------------------------ *)
@@ -242,29 +244,17 @@ end
 (* Streaming ingest pipeline                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The staged replacement for the monolithic "receive all, then
-   inspect" flow. Records feed in as they arrive: stream bytes land in
-   enclave staging immediately (the same charged [Sgx.Enclave.write]s
-   the legacy drain performs), the ELF prefix is sanity-checked as soon
-   as it lands, and — when the client supplied a [Meta] hint —
-   per-function digests are computed speculatively (optionally on the
-   domain pool) while later pages are still in flight. Speculative work
-   is UNCHARGED and advisory: its digests are adopted only after
-   byte-for-byte verification against the authoritative parse
-   ([Analysis.adopt_digests]), so verdicts and modelled cycles are
-   bit-identical to the one-shot path. *)
+(* The record channel's ingest state. Records feed in as they arrive:
+   stream bytes land in enclave staging immediately (the same charged
+   [Sgx.Enclave.write]s the block drain performs), the ELF prefix is
+   sanity-checked as soon as it lands, and — when the client supplied a
+   [Meta] hint — per-function digests are computed speculatively
+   (optionally on the domain pool) while later pages are still in
+   flight. Speculative work is UNCHARGED and advisory: its digests are
+   adopted only after byte-for-byte verification against the
+   authoritative parse ([Analysis.adopt_digests]), so verdicts and
+   modelled cycles are bit-identical to the block channel. *)
 module Pipeline = struct
-  exception Corrupt of string
-
-  type stage = Receiving | Inspecting | Done
-
-  type stats = {
-    p_records : int;
-    p_record_bytes : int;
-    p_epoch_updates : int;
-    p_spec_hashes : int;
-  }
-
   type t = {
     enclave : Sgx.Enclave.t;
     staging : int;
@@ -272,7 +262,6 @@ module Pipeline = struct
     shadow : Buffer.t;  (* host-side plaintext copy for speculative work *)
     on_event : pipeline_event -> unit;
     hash_runner : Analysis.hash_runner option;
-    mutable stage : stage;
     mutable meta : Channel.Record.meta option;
     mutable prefix_ok : bool;
     mutable pending_fns : (int * int * int) list;  (* (lo, hi, src_off), by src end *)
@@ -287,7 +276,7 @@ module Pipeline = struct
 
   let spec_batch = 8
 
-  let create ~enclave ~staging ~secret ?hash_runner ?(on_event = fun _ -> ()) () =
+  let create ~enclave ~staging ~secret ~hash_runner ~on_event =
     {
       enclave;
       staging;
@@ -295,7 +284,6 @@ module Pipeline = struct
       shadow = Buffer.create 4096;
       on_event;
       hash_runner;
-      stage = Receiving;
       meta = None;
       prefix_ok = false;
       pending_fns = [];
@@ -306,18 +294,6 @@ module Pipeline = struct
       records = 0;
       record_bytes = 0;
       spec_hashes = 0;
-    }
-
-  let stage t = t.stage
-  let finished t = t.fin
-  let speculative t = t.spec
-
-  let stats t =
-    {
-      p_records = t.records;
-      p_record_bytes = t.record_bytes;
-      p_epoch_updates = Channel.Record.epoch_updates t.reader;
-      p_spec_hashes = t.spec_hashes;
     }
 
   (* Hash a batch of landed functions. Slices are snapshotted on the
@@ -372,13 +348,13 @@ module Pipeline = struct
         List.iter (fun fn -> t.ready_fns <- fn :: t.ready_fns) ready);
     if final || List.length t.ready_fns >= spec_batch then flush_spec t
 
-  let check_prefix t =
-    if (not t.prefix_ok) && t.received >= 16 then begin
-      let s = Buffer.contents t.shadow in
-      if String.length s >= 5 && String.sub s 0 4 = "\x7fELF" && s.[4] = '\x02' then begin
-        t.prefix_ok <- true;
-        t.on_event Prefix_validated
-      end
+  (* Checked once, by the record that brings the stream to 16 bytes:
+     later records only append, so the verdict on the magic cannot
+     change, and re-reading the prefix would cost a copy per record. *)
+  let check_prefix t ~before =
+    if before < 16 && t.received >= 16 && Buffer.sub t.shadow 0 5 = "\x7fELF\x02" then begin
+      t.prefix_ok <- true;
+      t.on_event Prefix_validated
     end
 
   let accept_meta t (m : Channel.Record.meta) =
@@ -401,57 +377,63 @@ module Pipeline = struct
         List.sort (fun (_, h1, s1) (_, h2, s2) -> compare (s1 + h1) (s2 + h2)) fns
     end
 
+  (* Ingest one wire message; non-record traffic is not the pipeline's
+     to interpret. A record that fails authentication or framing
+     rejects the transfer as tampered. *)
   let feed t msg =
     match msg with
     | Channel.Wire.Record { epoch; rn; ciphertext; tag } -> begin
         t.records <- t.records + 1;
         t.record_bytes <- t.record_bytes + String.length ciphertext;
         match Channel.Record.read t.reader ~epoch ~rn ~ciphertext ~tag with
-        | Channel.Record.Corrupt why -> raise (Corrupt why)
+        | Channel.Record.Corrupt why -> tampered why
         | Channel.Record.Skip | Channel.Record.Recovered -> ()
         | Channel.Record.Accept Channel.Record.Key_update -> ()
         | Channel.Record.Accept (Channel.Record.Meta m) -> accept_meta t m
         | Channel.Record.Accept (Channel.Record.Stream { offset; data }) ->
-            if t.stage <> Receiving then raise (Corrupt "stream record after fin")
-            else if offset <> t.received then raise (Corrupt "non-contiguous stream record")
+            if t.fin <> None then tampered "stream record after fin"
+            else if offset <> t.received then tampered "non-contiguous stream record"
             else begin
               Sgx.Enclave.write t.enclave ~vaddr:(t.staging + offset) data;
               Buffer.add_string t.shadow data;
               t.received <- t.received + String.length data;
-              check_prefix t;
+              check_prefix t ~before:offset;
               advance_spec t ~final:false
             end
         | Channel.Record.Accept (Channel.Record.Fin { total_len; digest }) ->
-            if t.stage <> Receiving then raise (Corrupt "duplicate fin record")
+            if t.fin <> None then tampered "duplicate fin record"
             else begin
               advance_spec t ~final:true;
-              t.fin <- Some (total_len, digest);
-              t.stage <- Inspecting
+              t.fin <- Some (total_len, digest)
             end
       end
-    | _ -> () (* non-record traffic is not the pipeline's to interpret *)
-
-  let finish t = t.stage <- Done
+    | _ -> ()
 end
 
 (* ------------------------------------------------------------------ *)
 (* Shared inspection stage                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A transfer staged in the enclave, as an ingest step hands it on. *)
+type staged = {
+  total_len : int;  (* the length and SHA-256 the client declared *)
+  digest : string;
+  spec : (int * int * int * string) list;  (* speculative (lo, hi, src_off, hex) digests *)
+  stats : channel_stats option;  (* record-channel counters; [spec_adopted] is set later *)
+}
+
 (* Everything from "the whole file is staged" to "loaded or rejected".
-   BOTH channel paths run exactly this code with exactly these charges:
-   the streaming pipeline's head start feeds in only through
+   BOTH channels run exactly this code with exactly these charges: the
+   record pipeline's head start feeds in only through
    [Analysis.adopt_digests], whose verified adoptions charge
    bit-identically to cold computation. Returns the loaded image, the
    policy results, and how many speculative digests survived
    verification. *)
-let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec ~total_len ~digest
-    ~received =
+let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event { total_len; digest; spec; _ } =
   let staging = staging_base c in
-  if total_len <> received then raise (Reject (Transfer_tampered "missing blocks"));
   let file = Sgx.Enclave.read enclave ~vaddr:staging ~len:total_len in
   if Crypto.Sha256.digest file <> digest then
-    raise (Reject (Transfer_tampered "payload digest mismatch"));
+    tampered "payload digest mismatch";
   (* --- header validation --- *)
   let elf =
     match Elf64.Reader.parse file with
@@ -573,6 +555,25 @@ let meta_of_payload payload =
             text_off
       | _ -> None)
 
+(* ------------------------------------------------------------------ *)
+(* The provisioning flow                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* What establishing a session leaves for the rest of [run]. *)
+type session = {
+  resumed : bool;  (* the inspector unsealed the client's 0-RTT ticket *)
+  fallback : bool;  (* a 0-RTT attempt was refused and a full handshake followed *)
+  key : string Lazy.t;
+      (* The secret the session hangs off. After a full handshake it is
+         the RSA-unwrapped session key, and forcing it performs the
+         enclave's first reads: the unwrap and the policy-offer check.
+         After 0-RTT it is the 0-RTT traffic secret. *)
+  stream : Channel.Record.meta option -> string * Channel.Wire.t Seq.t;
+      (* the enclave's record-layer secret and the client's records *)
+  client_resumption : string;  (* what the client stashes beside a ticket *)
+  confirmed : Channel.Wire.t list -> bool;  (* the client's check that 0-RTT was accepted *)
+}
+
 let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
     ?(ticket_epoch = 0) ?(on_event = fun (_ : pipeline_event) -> ()) c ~payload =
   let report = Report.create () in
@@ -580,23 +581,11 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
   let host = Sgx.Host_os.create () in
   let device = Sgx.Quote.device_create ~seed:(c.seed ^ "/device") in
   let enclave, measurement = build_enclave c epc report.Report.provisioning in
-
   (* Enclave-side ephemeral keypair; its hash goes into the quote.
      Lazy: a successful 0-RTT resumption never generates it — that is
      the latency the ticket buys. *)
   let enclave_drbg = Crypto.Drbg.create ~personalization:"engarde-enclave" (c.seed ^ measurement) in
   let keypair = lazy (Crypto.Rsa.generate enclave_drbg ~bits:c.rsa_bits) in
-  let quote_response () =
-    let pub_bytes = Crypto.Rsa.pub_to_bytes (Lazy.force keypair).Crypto.Rsa.pub in
-    Channel.Wire.Quote_response
-      {
-        quote =
-          Sgx.Quote.to_bytes
-            (Sgx.Quote.quote device ~enclave ~report_data:(Crypto.Sha256.digest pub_bytes));
-        enclave_pub = pub_bytes;
-      }
-  in
-
   let client =
     Channel.Client.create ~programs
       ~device_pub:(Sgx.Quote.device_public device)
@@ -608,43 +597,194 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
   let issued = ref None in
   let client_ep, enclave_ep = Channel.Transport.pair ?tamper () in
 
-  let finish ~result ~policy_results ~attestation_failure ~client_verdict =
-    {
-      result;
-      report;
-      policy_results;
-      measurement;
-      enclave;
-      host;
-      client_verdict;
-      attestation_failure;
-      negotiated_digest = !negotiated;
-      channel_stats = !chan_stats;
-      ticket = !issued;
-    }
-  in
+  (* --- establish: a full handshake, or 0-RTT with its fallback --- *)
 
-  (* Policy negotiation: an enclave measured with a policy-set digest
-     refuses to proceed until the client's offer hashes to exactly that
-     digest — the programs about to judge the code are the ones both
-     parties agreed on and attested. *)
-  let check_policy_offer () =
+  (* The enclave's first reads after a full handshake: the session key,
+     then — in an enclave measured with a policy-set digest — an offer
+     hashing to exactly that digest, so the programs about to judge the
+     code are the ones both parties agreed on and attested. *)
+  let unwrap_key () =
+    let key =
+      match Channel.Transport.recv enclave_ep with
+      | Some (Channel.Wire.Wrapped_key { wrapped }) -> (
+          match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
+          | Some key when String.length key = 32 -> key
+          | Some _ | None -> tampered "session key unwrap failed")
+      | Some m -> tampered ("expected wrapped key, got " ^ Channel.Wire.describe m)
+      | None -> tampered "no wrapped key"
+    in
     if c.policy_digest <> "" then begin
       match Channel.Transport.recv enclave_ep with
       | Some (Channel.Wire.Policy_offer { programs }) ->
           let d = Channel.Session.policy_set_digest programs in
           if d <> c.policy_digest then
-            raise
-              (Reject (Transfer_tampered "offered policy set does not match the measured digest"));
+            tampered "offered policy set does not match the measured digest";
           negotiated := Some d;
           Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = d })
-      | Some m ->
-          raise (Reject (Transfer_tampered ("expected policy offer, got " ^ Channel.Wire.describe m)))
-      | None -> raise (Reject (Transfer_tampered "no policy offer"))
-    end
+      | Some m -> tampered ("expected policy offer, got " ^ Channel.Wire.describe m)
+      | None -> tampered "no policy offer"
+    end;
+    key
+  in
+  let handshake ~fallback =
+    let pub_bytes = Crypto.Rsa.pub_to_bytes (Lazy.force keypair).Crypto.Rsa.pub in
+    let quote = Sgx.Quote.quote device ~enclave ~report_data:(Crypto.Sha256.digest pub_bytes) in
+    Channel.Transport.send enclave_ep
+      (Channel.Wire.Quote_response { quote = Sgx.Quote.to_bytes quote; enclave_pub = pub_bytes });
+    match Option.map (Channel.Client.handle_quote client) (Channel.Transport.recv client_ep) with
+    | None -> Error (Channel.Client.Protocol "no quote", "quote never arrived")
+    | Some (Error failure) ->
+        (* The client will not hand its code to an enclave it cannot
+           authenticate. *)
+        Error (failure, "client aborted after attestation")
+    | Some (Ok wrapped_key) ->
+        Channel.Transport.send client_ep wrapped_key;
+        Option.iter (Channel.Transport.send client_ep) (Channel.Client.policy_offer client);
+        Sgx.Enclave.eenter enclave;
+        let key = lazy (unwrap_key ()) in
+        Ok
+          {
+            resumed = false;
+            fallback;
+            key;
+            stream =
+              (fun meta ->
+                ( Channel.Record.traffic_secret ~key:(Lazy.force key),
+                  Channel.Client.stream_seq ?meta client ));
+            client_resumption = Option.get (Channel.Client.resumption client);
+            confirmed = (fun _ -> true);
+          }
+  in
+  let establish () =
+    match (channel, resume) with
+    | `Streaming, Some (ticket, resumption) -> (
+        (* 0-RTT: the client streams at once under keys derived from its
+           stashed resumption secret; the inspector decides on the
+           opener whether to ride along or fall back. *)
+        Channel.Transport.send client_ep (Channel.Client.resume_opener client ~ticket);
+        let unsealed =
+          match Channel.Transport.recv enclave_ep with
+          | Some (Channel.Wire.Resume { ticket; nonce }) ->
+              Result.map
+                (fun sealed -> (sealed, nonce))
+                (Ticket.unseal device ~measurement ~policy_digest:c.policy_digest
+                   ~epoch:ticket_epoch ticket)
+          | _ -> Error "no resume opener"
+        in
+        match unsealed with
+        | Ok (sealed, nonce) ->
+            Sgx.Enclave.eenter enclave;
+            Channel.Transport.send enclave_ep
+              (Channel.Wire.Resume_accept { confirm = Channel.Record.confirm ~resumption:sealed ~nonce });
+            if c.policy_digest <> "" then begin
+              negotiated := Some c.policy_digest;
+              Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = c.policy_digest })
+            end;
+            let secret = Channel.Record.zero_rtt_secret ~resumption:sealed ~nonce in
+            Ok
+              {
+                resumed = true;
+                fallback = false;
+                key = Lazy.from_val secret;
+                stream = (fun meta -> (secret, Channel.Client.zero_rtt_seq ?meta client ~resumption));
+                client_resumption = Channel.Client.resumed_secret client ~resumption;
+                confirmed = List.exists (Channel.Client.check_resume_accept client ~resumption);
+              }
+        | Error _ ->
+            (* Stale or mismatched ticket: discard the 0-RTT data and fall
+               back to the full handshake. The client notices the quote
+               response in place of a Resume_accept and re-sends under
+               freshly wrapped keys. *)
+            Seq.iter (Channel.Transport.send client_ep) (Channel.Client.zero_rtt_seq client ~resumption);
+            ignore (Channel.Transport.drain enclave_ep);
+            handshake ~fallback:true)
+    | _ ->
+        Channel.Transport.send client_ep (Channel.Client.challenge client);
+        ignore (Channel.Transport.recv enclave_ep);
+        handshake ~fallback:false
   in
 
-  let send_verdict result =
+  (* --- ingest: the only step that knows the channel --- *)
+
+  (* The paper's block channel (Figures 3-5): the client sends every
+     block, then the enclave unwraps the session key and drains them
+     into staging. Blocks carry their own offsets, so a gap shows only
+     in the extent that landed. *)
+  let ingest_blocks s =
+    on_event Transfer_started;
+    List.iter (Channel.Transport.send client_ep) (Channel.Client.code_messages client);
+    let session = Channel.Session.create ~key:(Lazy.force s.key) in
+    let fin = ref None and received = ref 0 in
+    List.iter
+      (function
+        | Channel.Wire.Code_block { seq; offset; ciphertext; tag } -> (
+            match Channel.Session.decrypt_block session ~seq ~offset ~ciphertext ~tag with
+            | None -> tampered (Printf.sprintf "block %d failed authentication" seq)
+            | Some plain ->
+                Sgx.Enclave.write enclave ~vaddr:(staging_base c + offset) plain;
+                received := max !received (offset + String.length plain))
+        | Channel.Wire.Transfer_done { total_len; digest } -> fin := Some (total_len, digest)
+        | _ -> ())
+      (Channel.Transport.drain enclave_ep);
+    match !fin with
+    | None -> tampered "transfer never completed"
+    | Some (total_len, _) when total_len <> !received -> tampered "missing blocks"
+    | Some (total_len, digest) -> { total_len; digest; spec = []; stats = None }
+  in
+  (* The record channel: the enclave reads each record as the client
+     produces it. Whatever the transport dropped shows up as a transfer
+     that never completed. *)
+  let ingest_records s =
+    let secret, records = s.stream (meta_of_payload payload) in
+    let p = Pipeline.create ~enclave ~staging:(staging_base c) ~secret ~hash_runner ~on_event in
+    on_event Transfer_started;
+    let in_flight_peak = ref 0 in
+    Seq.iter
+      (fun msg ->
+        Channel.Transport.send client_ep msg;
+        in_flight_peak := max !in_flight_peak (Channel.Transport.pending_bytes enclave_ep);
+        List.iter (Pipeline.feed p) (Channel.Transport.drain enclave_ep))
+      records;
+    match p.Pipeline.fin with
+    | None -> tampered "transfer never completed"
+    | Some (total_len, digest) ->
+        let stats =
+          {
+            records = p.Pipeline.records;
+            record_bytes = p.Pipeline.record_bytes;
+            in_flight_peak = !in_flight_peak;
+            epoch_updates = Channel.Record.epoch_updates p.Pipeline.reader;
+            resumed = s.resumed;
+            fallback = s.fallback;
+            spec_hashes = p.Pipeline.spec_hashes;
+            spec_adopted = 0;
+          }
+        in
+        { total_len; digest; spec = p.Pipeline.spec; stats = Some stats }
+  in
+  let ingest = match channel with `Legacy -> ingest_blocks | `Streaming -> ingest_records in
+
+  (* --- judge: every failure becomes the rejection the client reads --- *)
+  let judge s =
+    match
+      let staged = ingest s in
+      let loaded, policy_results, spec_adopted =
+        inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event staged
+      in
+      chan_stats := Option.map (fun st -> { st with spec_adopted }) staged.stats;
+      (loaded, policy_results)
+    with
+    | loaded, policy_results -> (Ok loaded, policy_results)
+    | exception Reject (Policy_violations results as r) -> (Error r, results)
+    | exception Reject r -> (Error r, [])
+    | exception Sgx.Enclave.Sgx_fault why -> (Error (Load_failed why), [])
+  in
+
+  (* --- respond: the verdict, then (after an accepted record-channel
+     run) a ticket the client can resume with for as long as the
+     measurement, the policy set and the ticket epoch still match --- *)
+  let respond s result =
+    Sgx.Enclave.eexit enclave;
     let accepted, detail =
       match result with
       | Ok loaded ->
@@ -654,330 +794,65 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
               loaded.Loader.relocations_applied )
       | Error r -> (false, rejection_to_string r)
     in
-    Channel.Transport.send enclave_ep (Channel.Wire.Verdict { accepted; detail })
-  in
-
-  (* --- legacy monolithic path (paper-faithful): receive everything,
-     then inspect --- *)
-  let legacy_enclave_side () =
-    let session =
-      match Channel.Transport.recv enclave_ep with
-      | Some (Channel.Wire.Wrapped_key { wrapped }) -> begin
-          match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
-          | Some key when String.length key = 32 -> Channel.Session.create ~key
-          | Some _ | None -> raise (Reject (Transfer_tampered "session key unwrap failed"))
-        end
-      | Some m ->
-          raise (Reject (Transfer_tampered ("expected wrapped key, got " ^ Channel.Wire.describe m)))
-      | None -> raise (Reject (Transfer_tampered "no wrapped key"))
-    in
-    check_policy_offer ();
-    (* Receive blocks into the staging area. *)
-    let staging = staging_base c in
-    let total = ref None in
-    let digest = ref "" in
-    let received = ref 0 in
-    let rec drain () =
-      match Channel.Transport.recv enclave_ep with
-      | None -> ()
-      | Some (Channel.Wire.Code_block { seq; offset; ciphertext; tag }) -> begin
-          match Channel.Session.decrypt_block session ~seq ~offset ~ciphertext ~tag with
-          | None ->
-              raise
-                (Reject (Transfer_tampered (Printf.sprintf "block %d failed authentication" seq)))
-          | Some plain ->
-              Sgx.Enclave.write enclave ~vaddr:(staging + offset) plain;
-              received := max !received (offset + String.length plain);
-              drain ()
-        end
-      | Some (Channel.Wire.Transfer_done { total_len; digest = d }) ->
-          total := Some total_len;
-          digest := d;
-          drain ()
-      | Some _ -> drain ()
-    in
-    drain ();
-    let total_len =
-      match !total with
-      | Some t -> t
-      | None -> raise (Reject (Transfer_tampered "transfer never completed"))
-    in
-    let loaded, policy_results, _ =
-      inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec:[] ~total_len
-        ~digest:!digest ~received:!received
-    in
-    (loaded, policy_results)
-  in
-
-  (* --- streaming path: ingest records as the client produces them --- *)
-  let in_flight_peak = ref 0 in
-  let stream_transfer ~secret ~spec_meta seq =
-    let pipeline =
-      Pipeline.create ~enclave ~staging:(staging_base c) ~secret ?hash_runner ~on_event ()
-    in
-    ignore spec_meta;
-    on_event Transfer_started;
-    Seq.iter
-      (fun msg ->
-        Channel.Transport.send client_ep msg;
-        in_flight_peak := max !in_flight_peak (Channel.Transport.pending_bytes enclave_ep);
-        let rec ingest () =
-          match Channel.Transport.recv enclave_ep with
-          | None -> ()
-          | Some m ->
-              Pipeline.feed pipeline m;
-              ingest ()
-        in
-        ingest ())
-      seq;
-    (* Anything the transport dropped (tampered beyond parsing) shows
-       up here as an incomplete transfer. *)
-    match Pipeline.finished pipeline with
-    | None -> raise (Reject (Transfer_tampered "transfer never completed"))
-    | Some (total_len, digest) ->
-        let st = Pipeline.stats pipeline in
-        Pipeline.finish pipeline;
-        (total_len, digest, Pipeline.speculative pipeline, st)
-  in
-  let streaming_inspect ~resumed ~fallback ~secret ~spec_meta seq =
-    match
-      let total_len, digest, spec, st = stream_transfer ~secret ~spec_meta seq in
-      let loaded, policy_results, spec_adopted =
-        inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec ~total_len ~digest
-          ~received:total_len
+    Channel.Transport.send enclave_ep (Channel.Wire.Verdict { accepted; detail });
+    if accepted && channel = `Streaming then begin
+      let blob =
+        Ticket.seal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
+          ~resumption:(Channel.Record.resumption_secret ~key:(Lazy.force s.key))
       in
-      (loaded, policy_results, st, spec_adopted)
-    with
-    | loaded, policy_results, st, spec_adopted ->
-        chan_stats :=
-          Some
-            {
-              records = st.Pipeline.p_records;
-              record_bytes = st.Pipeline.p_record_bytes;
-              in_flight_peak = !in_flight_peak;
-              epoch_updates = st.Pipeline.p_epoch_updates;
-              resumed;
-              fallback;
-              spec_hashes = st.Pipeline.p_spec_hashes;
-              spec_adopted;
-            };
-        (Ok loaded, policy_results)
-    | exception Pipeline.Corrupt why -> (Error (Transfer_tampered why), [])
-    | exception Reject (Policy_violations results as r) -> (Error r, results)
-    | exception Reject r -> (Error r, [])
-    | exception Sgx.Enclave.Sgx_fault why -> (Error (Load_failed why), [])
-  in
-
-  (* Issue (or re-issue) a ticket after an accepted verdict: the client
-     can come back without the RSA handshake as long as the inspector's
-     measurement, policy set, and ticket epoch still match. *)
-  let issue_ticket ~result ~resumption ~client_secret =
-    match result with
-    | Ok _ ->
-        let blob =
-          Ticket.seal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
-            ~resumption
-        in
-        Channel.Transport.send enclave_ep (Channel.Wire.Ticket { blob });
-        issued := Some (blob, client_secret)
-    | Error _ -> ()
-  in
-
-  (* The full-handshake flow, shared by the legacy channel, cold
-     streaming, and the post-fallback retry. The client has already
-     received the quote response on [client_ep]. *)
-  let full_handshake ~fallback () =
-    match Channel.Transport.recv client_ep with
-    | None ->
-        finish
-          ~result:(Error (Transfer_tampered "quote never arrived"))
-          ~policy_results:[] ~attestation_failure:(Some (Channel.Client.Protocol "no quote"))
-          ~client_verdict:None
-    | Some quote_msg -> begin
-        match Channel.Client.handle_quote client quote_msg with
-        | Error failure ->
-            (* The client aborts: it will not hand its code to an enclave
-               it cannot authenticate. *)
-            finish
-              ~result:(Error (Transfer_tampered "client aborted after attestation"))
-              ~policy_results:[] ~attestation_failure:(Some failure) ~client_verdict:None
-        | Ok wrapped_key_msg -> begin
-            Channel.Transport.send client_ep wrapped_key_msg;
-            (match Channel.Client.policy_offer client with
-            | Some offer -> Channel.Transport.send client_ep offer
-            | None -> ());
-            Sgx.Enclave.eenter enclave;
-            let result, policy_results =
-              match channel with
-              | `Legacy -> (
-                  on_event Transfer_started;
-                  List.iter (Channel.Transport.send client_ep) (Channel.Client.code_messages client);
-                  match legacy_enclave_side () with
-                  | loaded, policy_results -> (Ok loaded, policy_results)
-                  | exception Reject (Policy_violations results as r) -> (Error r, results)
-                  | exception Reject r -> (Error r, [])
-                  | exception Sgx.Enclave.Sgx_fault why -> (Error (Load_failed why), []))
-              | `Streaming -> (
-                  (* The enclave unwraps the session key and checks the
-                     offer before any record can be read. *)
-                  match
-                    (match Channel.Transport.recv enclave_ep with
-                    | Some (Channel.Wire.Wrapped_key { wrapped }) -> begin
-                        match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
-                        | Some key when String.length key = 32 -> key
-                        | Some _ | None ->
-                            raise (Reject (Transfer_tampered "session key unwrap failed"))
-                      end
-                    | Some m ->
-                        raise
-                          (Reject
-                             (Transfer_tampered
-                                ("expected wrapped key, got " ^ Channel.Wire.describe m)))
-                    | None -> raise (Reject (Transfer_tampered "no wrapped key")))
-                  with
-                  | key ->
-                      (match check_policy_offer () with
-                      | () -> ()
-                      | exception e -> raise e);
-                      let meta = meta_of_payload payload in
-                      streaming_inspect ~resumed:false ~fallback
-                        ~secret:(Channel.Record.traffic_secret ~key)
-                        ~spec_meta:meta
-                        (Channel.Client.stream_seq ?meta client)
-                  | exception Reject r -> (Error r, []))
-            in
-            Sgx.Enclave.eexit enclave;
-            (* --- verdict back to the client --- *)
-            send_verdict result;
-            (match (channel, Channel.Client.resumption client) with
-            | `Streaming, Some client_secret ->
-                issue_ticket ~result
-                  ~resumption:client_secret (* both ends derive it from the session key *)
-                  ~client_secret
-            | _ -> ());
-            let client_verdict =
-              let msgs = Channel.Transport.drain client_ep in
-              let accepts, rest =
-                List.partition
-                  (function Channel.Wire.Policy_accept _ -> true | _ -> false)
-                  msgs
-              in
-              let _tickets, rest =
-                List.partition (function Channel.Wire.Ticket _ -> true | _ -> false) rest
-              in
-              (* The client only honors a verdict when the negotiation
-                 transcript matches what it offered: no offer -> no
-                 accept; an offer -> exactly one accept echoing its own
-                 digest. *)
-              let accept_ok =
-                match (accepts, Channel.Client.offered_digest client) with
-                | [], None -> true
-                | [ Channel.Wire.Policy_accept { digest } ], Some d -> digest = d
-                | _ -> false
-              in
-              match rest with
-              | [ v ] when accept_ok ->
-                  (match Channel.Client.read_verdict v with Ok r -> Some r | Error _ -> None)
-              | _ -> None
-            in
-            finish ~result ~policy_results ~attestation_failure:None ~client_verdict
-          end
-      end
-  in
-
-  match (channel, resume) with
-  | `Streaming, Some (ticket, resumption) -> begin
-      (* 0-RTT: the client streams immediately under keys derived from
-         its stashed resumption secret; the inspector decides on the
-         opener whether to ride along or fall back. *)
-      Channel.Transport.send client_ep (Channel.Client.resume_opener client ~ticket);
-      let nonce =
-        match Channel.Transport.recv enclave_ep with
-        | Some (Channel.Wire.Resume { ticket = blob; nonce }) -> (
-            match
-              Ticket.unseal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
-                blob
-            with
-            | Ok sealed_resumption -> Ok (sealed_resumption, nonce)
-            | Error why -> Error why)
-        | _ -> Error "no resume opener"
-      in
-      match nonce with
-      | Ok (sealed_resumption, nonce) ->
-          (* Accepted: confirm, then ingest the 0-RTT records. *)
-          Sgx.Enclave.eenter enclave;
-          Channel.Transport.send enclave_ep
-            (Channel.Wire.Resume_accept
-               { confirm = Channel.Record.confirm ~resumption:sealed_resumption ~nonce });
-          (if c.policy_digest <> "" then begin
-             negotiated := Some c.policy_digest;
-             Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = c.policy_digest })
-           end);
-          let meta = meta_of_payload payload in
-          let zero_rtt = Channel.Record.zero_rtt_secret ~resumption:sealed_resumption ~nonce in
-          let result, policy_results =
-            streaming_inspect ~resumed:true ~fallback:false ~secret:zero_rtt ~spec_meta:meta
-              (Channel.Client.zero_rtt_seq ?meta client ~resumption)
-          in
-          Sgx.Enclave.eexit enclave;
-          send_verdict result;
-          let next_resumption = Channel.Record.resumption_secret ~key:zero_rtt in
-          issue_ticket ~result ~resumption:next_resumption
-            ~client_secret:(Channel.Client.resumed_secret client ~resumption);
-          (* Client side: honor the verdict only under a valid
-             confirmation and a matching negotiation echo. *)
-          let client_verdict =
-            let msgs = Channel.Transport.drain client_ep in
-            let confirmed =
-              List.exists (fun m -> Channel.Client.check_resume_accept client ~resumption m) msgs
-            in
-            let accept_ok =
-              let accepts =
-                List.filter_map
-                  (function Channel.Wire.Policy_accept { digest } -> Some digest | _ -> None)
-                  msgs
-              in
-              match (accepts, Channel.Client.offered_digest client) with
-              | [], None -> true
-              | [ d ], Some d' -> d = d'
-              | _ -> false
-            in
-            if not (confirmed && accept_ok) then None
-            else
-              List.find_map
-                (function
-                  | Channel.Wire.Verdict { accepted; detail } -> Some (accepted, detail)
-                  | _ -> None)
-                msgs
-          in
-          finish ~result ~policy_results ~attestation_failure:None ~client_verdict
-      | Error _why ->
-          (* Stale or mismatched ticket: discard whatever 0-RTT data
-             arrives and fall back to the full handshake. The client
-             notices the quote response in place of a Resume_accept and
-             re-sends under freshly wrapped keys. *)
-          Seq.iter
-            (fun msg -> Channel.Transport.send client_ep msg)
-            (Channel.Client.zero_rtt_seq client ~resumption);
-          let rec discard () =
-            match Channel.Transport.recv enclave_ep with
-            | None -> ()
-            | Some _ -> discard ()
-          in
-          discard ();
-          Channel.Transport.send enclave_ep (quote_response ());
-          let o = full_handshake ~fallback:true () in
-          (* The 0-RTT attempt is part of this run's channel story. *)
-          (match o.channel_stats with
-          | Some st -> chan_stats := Some { st with fallback = true }
-          | None -> ());
-          { o with channel_stats = !chan_stats }
+      Channel.Transport.send enclave_ep (Channel.Wire.Ticket { blob });
+      issued := Some (blob, s.client_resumption)
     end
-  | _ ->
-      (* --- attestation handshake over the channel --- *)
-      Channel.Transport.send client_ep (Channel.Client.challenge client);
-      let _hello = Channel.Transport.recv enclave_ep in
-      Channel.Transport.send enclave_ep (quote_response ());
-      full_handshake ~fallback:false ()
+  in
+
+  (* --- client read-back: exactly one verdict besides negotiation
+     echoes, tickets and resume-accepts, honoured only under the echo
+     the client's offer expects (no offer: no accept; an offer: exactly
+     one accept of its digest) and, after 0-RTT, under the inspector's
+     confirmation --- *)
+  let read_back s =
+    let msgs = Channel.Transport.drain client_ep in
+    let accepts =
+      List.filter_map (function Channel.Wire.Policy_accept { digest } -> Some digest | _ -> None) msgs
+    in
+    let echo_ok =
+      match (accepts, Channel.Client.offered_digest client) with
+      | [], None -> true
+      | [ d ], Some d' -> d = d'
+      | _ -> false
+    in
+    let rest =
+      List.filter
+        (function
+          | Channel.Wire.Policy_accept _ | Channel.Wire.Ticket _ | Channel.Wire.Resume_accept _ -> false
+          | _ -> true)
+        msgs
+    in
+    match rest with
+    | [ v ] when echo_ok && s.confirmed msgs -> Result.to_option (Channel.Client.read_verdict v)
+    | _ -> None
+  in
+
+  let result, policy_results, attestation_failure, client_verdict =
+    match establish () with
+    | Error (failure, why) -> (Error (Transfer_tampered why), [], Some failure, None)
+    | Ok s ->
+        let result, policy_results = judge s in
+        respond s result;
+        (result, policy_results, None, read_back s)
+  in
+  {
+    result;
+    report;
+    policy_results;
+    measurement;
+    enclave;
+    host;
+    client_verdict;
+    attestation_failure;
+    negotiated_digest = !negotiated;
+    channel_stats = !chan_stats;
+    ticket = !issued;
+  }
 
 let findings outcome = Policy.findings outcome.policy_results

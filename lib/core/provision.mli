@@ -65,14 +65,21 @@ type channel_stats = {
   spec_adopted : int;     (** of those, adopted after byte-for-byte verification *)
 }
 
-(** Progress callbacks from the provisioning pipeline, for latency
-    instrumentation (e.g. time-to-first-policy-relevant-event, measured
-    from [Transfer_started]). The legacy channel emits only
-    [Transfer_started] and [Policy_phase] — everything in between is
-    its monolithic receive-then-inspect block. *)
+(** Progress callbacks from {!run}, for latency instrumentation (e.g.
+    time-to-first-policy-relevant-event, measured from
+    [Transfer_started]). [Transfer_started] and [Policy_phase] fire on
+    both channels; the two in between come only from the record
+    channel's ingest, since the block channel receives everything
+    before it looks at any of it. *)
 type pipeline_event =
-  | Transfer_started        (** the client is about to stream code bytes *)
-  | Prefix_validated        (** the staged prefix parses as ELF64 *)
+  | Transfer_started
+      (** the session is established and the ingest step begins: on the
+          block channel before the client sends its blocks, on the
+          record channel after the enclave has unwrapped the session key
+          and checked the policy offer (or accepted a 0-RTT ticket) *)
+  | Prefix_validated
+      (** the first 16 staged bytes arrived and begin with the ELF64
+          magic; checked once, so a stream that fails it never fires *)
   | Speculative_hash of { addr : int }
       (** a batch of speculative function digests landed; [addr] is the
           first function's address *)
@@ -86,8 +93,10 @@ type outcome = {
   enclave : Sgx.Enclave.t;
   host : Sgx.Host_os.t;
   client_verdict : (bool * string) option;
-      (** what the client read back over the channel; [None] also when a
-          negotiated run saw no (or a wrong) [Policy_accept] *)
+      (** what the client read back over the channel: [None] unless it
+          saw exactly one verdict besides negotiation echoes, tickets
+          and resume-accepts, the [Policy_accept] its offer expects (none
+          without an offer), and after 0-RTT a valid [Resume_accept] *)
   attestation_failure : Channel.Client.failure option;
   negotiated_digest : string option;
       (** the policy-set digest the enclave verified against its
@@ -137,53 +146,6 @@ module Ticket : sig
   (** The sealed resumption secret, or why the ticket was refused
       (unparseable, stale epoch, failed authentication, measurement or
       policy-digest mismatch). *)
-end
-
-(** The staged streaming ingest: records feed in as they arrive, stream
-    bytes land in enclave staging immediately (the same charged writes
-    the legacy drain performs), the ELF prefix is validated as soon as
-    it lands, and — given a [Meta] hint — per-function digests are
-    computed speculatively (optionally on a domain pool) while later
-    pages are still in flight. Speculative work is uncharged and
-    advisory; {!run}'s inspection adopts a digest only after verifying
-    the hashed bytes against the authoritative parse. *)
-module Pipeline : sig
-  exception Corrupt of string
-  (** Raised by {!feed} when the record stream fails authentication or
-      framing — the provisioning attempt is rejected as tampered. *)
-
-  type stage = Receiving | Inspecting | Done
-
-  type stats = {
-    p_records : int;
-    p_record_bytes : int;
-    p_epoch_updates : int;
-    p_spec_hashes : int;
-  }
-
-  type t
-
-  val create :
-    enclave:Sgx.Enclave.t ->
-    staging:int ->
-    secret:string ->
-    ?hash_runner:Analysis.hash_runner ->
-    ?on_event:(pipeline_event -> unit) ->
-    unit ->
-    t
-
-  val feed : t -> Channel.Wire.t -> unit
-  (** Ingest one wire message; non-[Record] traffic is ignored. *)
-
-  val stage : t -> stage
-  val finished : t -> (int * string) option
-  (** [(total_len, digest)] once the [Fin] record arrived. *)
-
-  val speculative : t -> (int * int * int * string) list
-  (** The speculative digests: [(lo, hi, src_off, sha256_hex)]. *)
-
-  val stats : t -> stats
-  val finish : t -> unit
 end
 
 val run :

@@ -33,7 +33,6 @@ type config = {
   backoff_ticks : int;
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
-  engine : [ `Vm | `Native ];
   programs : (string * string) list;
   provision : Engarde.Provision.config;
   fault : attempt:int -> job -> (Channel.Wire.t -> Channel.Wire.t) option;
@@ -58,7 +57,6 @@ let default_config =
     backoff_ticks = 2;
     max_payload_bytes = Some (16 * 1024 * 1024);
     libc_db = Toolchain.Libc.V1_0_5;
-    engine = `Vm;
     programs = [];
     provision = Engarde.Provision.default_config;
     fault = (fun ~attempt:_ _ -> None);
@@ -115,10 +113,10 @@ let vm_builtins = [ "libc"; "stack"; "ifcc"; "lint"; "sanitize" ]
    policies travel as real VM programs. The pattern-mode baselines have
    no DSL transcription (their quadratic window scans are what the flow
    policies exist to replace), and the interprocedural depth variants
-   deliberately stay native on both engines until the call-graph fact
-   interface is stable enough to freeze into the wire format — so each
-   contributes an opaque native marker: the negotiated digest still
-   commits to their selection, and both engines execute them natively. *)
+   deliberately stay native until the call-graph fact interface is
+   stable enough to freeze into the wire format — so each contributes
+   an opaque native marker: the negotiated digest still commits to
+   their selection, and the scheduler executes them natively. *)
 let native_marker name = "EGNATIVE1\x00" ^ name
 
 let builtin_programs ~db =
@@ -254,8 +252,8 @@ let metrics t = t.metrics
 
 (* The negotiated program set for a job: sorted-unique policy names,
    each paired with its canonical blob. Client and provider hash
-   exactly these bytes, and both engines execute exactly this set, so
-   one digest covers the agreement regardless of engine. *)
+   exactly these bytes, and the scheduler executes exactly this set, so
+   one digest covers the agreement. *)
 let program_set t names =
   let blobs = Lazy.force t.blobs in
   List.map (fun n -> (n, List.assoc n blobs)) (List.sort_uniq compare names)
@@ -264,27 +262,21 @@ let programs_digest t names = Channel.Session.policy_set_digest (program_set t n
 
 let negotiable t = known_policies @ List.map fst t.cfg.programs
 
-(* One policy instance for one attempt. Builtins run as VM programs
-   under the [`Vm] engine and as native modules under [`Native] (the
-   differential oracle); the pattern-mode baselines are native under
-   both; custom programs always interpret. *)
+(* One policy instance for one attempt. The five flow builtins and
+   custom programs run on the VM; the pattern-mode baselines and the
+   interprocedural depth variants run as native modules. *)
 let policy_for t name =
-  let native () =
+  if List.mem name vm_builtins then Policyvm.Vm.policy (List.assoc name (Lazy.force t.vm_progs))
+  else if List.mem name known_policies then begin
     match policies_of_names ~db:(Lazy.force t.db) [ name ] with
     | Ok [ p ] -> p
     | Ok _ | Error _ -> invalid_arg ("Service.Scheduler: unknown policy " ^ name)
-  in
-  match t.cfg.engine with
-  | `Vm when List.mem name vm_builtins ->
-      Policyvm.Vm.policy (List.assoc name (Lazy.force t.vm_progs))
-  | `Vm | `Native ->
-      if List.mem name known_policies then native ()
-      else begin
-        match Policyvm.Vm.of_blob (List.assoc name (Lazy.force t.blobs)) with
-        | Ok p -> p
-        | Error e ->
-            invalid_arg (Printf.sprintf "Service.Scheduler: program %S: %s" name e)
-      end
+  end
+  else begin
+    match Policyvm.Vm.of_blob (List.assoc name (Lazy.force t.blobs)) with
+    | Ok p -> p
+    | Error e -> invalid_arg (Printf.sprintf "Service.Scheduler: program %S: %s" name e)
+  end
 let cache_stats t = Option.map Cache.stats t.cache
 let queue_stats t = Queue.stats t.queue
 let audit_log t = t.audit_log

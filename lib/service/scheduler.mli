@@ -68,13 +68,6 @@ type config = {
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
       (** the provider's reference hash database — part of the cache key *)
-  engine : [ `Vm | `Native ];
-      (** how the five builtin flow policies execute: as negotiated VM
-          programs ([`Vm], the default) or as the native OCaml modules
-          ([`Native], the differential oracle). Pattern-mode baselines
-          and the interprocedural depth variants are native under both;
-          verdicts, findings and modelled policy cycles are identical
-          either way. *)
   programs : (string * string) list;
       (** additional negotiable policy programs, [(name, canonical
           blob)] — the point of the VM: a new check is service data,
@@ -128,7 +121,7 @@ type config = {
 val default_config : config
 (** 4 workers, queue of 64, cache of 256 verdicts, audit off, no
     timeout, 2 retries, clean channel, in-place dispatch, no hash
-    runner, libc-db v1.0.5, the [`Vm] engine with no custom programs,
+    runner, libc-db v1.0.5, no custom programs,
     the legacy channel at ticket epoch 0,
     [Engarde.Provision.default_config]. *)
 
@@ -149,8 +142,8 @@ val known_policies : string list
     "ifcc", "lint", "sanitize", plus the paper-baseline
     "stack-pattern" / "ifcc-pattern" peephole modes and the
     summary-driven "stack-interproc" / "ifcc-interproc" depth variants
-    (native under both engines; their call-graph facts are not yet
-    frozen into the VM wire format). (The library also ships a
+    (these four run natively; their scans and call-graph facts are not
+    yet frozen into the VM wire format). (The library also ships a
     [Policy_malware] module, but it needs a caller-supplied signature
     database and is deliberately not name-addressable here.) *)
 

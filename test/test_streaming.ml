@@ -161,6 +161,29 @@ let pipeline_events_in_order () =
   Alcotest.(check bool) "prefix before speculation" true (prefix < spec);
   Alcotest.(check bool) "speculation while pages in flight" true (spec < policy)
 
+(* The ELF magic is checked once, as soon as 16 bytes have landed: a
+   non-ELF stream must not copy its growing prefix on every record.
+   Both 2 MiB streams are rejected as malformed and differ only in their
+   first five bytes, so they should allocate alike. *)
+let non_elf_prefix_checked_once () =
+  let cfg = { (small_config "prefix-once") with Engarde.Provision.heap_pages = 1024 } in
+  ignore (Engarde.Provision.expected_measurement cfg);
+  let allocated magic =
+    let payload = magic ^ String.make ((2 * 1024 * 1024) - 5) '\x00' in
+    let before = Gc.allocated_bytes () in
+    let o = Engarde.Provision.run ~channel:`Streaming cfg ~payload in
+    let bytes = Gc.allocated_bytes () -. before in
+    (match o.Engarde.Provision.result with
+    | Error (Engarde.Provision.Bad_elf _) -> ()
+    | r -> Alcotest.failf "%S stream: %s" magic (result_shape r));
+    bytes
+  in
+  let elf = allocated "\x7fELF\x02" in
+  let other = allocated "\x00ELF\x02" in
+  if Float.abs (other -. elf) >= 0.05 *. elf then
+    Alcotest.failf "non-ELF stream allocated %.0f MB against %.0f MB for an ELF one" (other /. 1e6)
+      (elf /. 1e6)
+
 (* ------------------------------------------------------------------ *)
 (* 0-RTT resumption                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -294,6 +317,176 @@ let ticket_refusals () =
     (unseal ~policy_digest:(String.make 32 'q') blob)
 
 (* ------------------------------------------------------------------ *)
+(* Transcripts: the wire and the pipeline events, pinned per flow      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every flow runs the jump-past-mask fixture (three records) with a
+   negotiated program set; the pattern IFCC scan accepts it and the
+   flow-sensitive one rejects it. The program blob is opaque to the
+   enclave, which checks only its digest. *)
+let transcript_fixture = lazy (Linker.link_adversarial Workloads.Jump_past_mask).Linker.elf
+let transcript_programs = [ ("ifcc", "EGNATIVE1\x00ifcc") ]
+
+let transcript_config =
+  {
+    (small_config "transcript") with
+    Engarde.Provision.policy_digest = Channel.Session.policy_set_digest transcript_programs;
+  }
+
+let transcript_run ?tamper ?on_event ?(mode = `Pattern) ?resume ?ticket_epoch channel =
+  Engarde.Provision.run ?tamper ?on_event ~channel ?resume ?ticket_epoch
+    ~policies:[ Engarde.Policy_ifcc.make ~mode () ]
+    ~programs:transcript_programs transcript_config ~payload:(Lazy.force transcript_fixture)
+
+let cold_ticket () =
+  match (transcript_run `Streaming).Engarde.Provision.ticket with
+  | Some t -> t
+  | None -> Alcotest.fail "cold streaming run issued no ticket"
+
+let event_name = function
+  | Engarde.Provision.Transfer_started -> "transfer-started"
+  | Prefix_validated -> "prefix-validated"
+  | Speculative_hash { addr } -> Printf.sprintf "speculative-hash 0x%x" addr
+  | Policy_phase -> "policy-phase"
+
+(* One flow's transcript: a line per message a pass-through adversary
+   sees and per pipeline event, in order, then the outcome (result,
+   client verdict, channel counters, ticket, modelled cycles). Returns
+   the digest of those lines and the run-length sequence of their
+   kinds. *)
+let transcript ?(rewrite = Fun.id) ?mode ?resume ?ticket_epoch channel =
+  let log = ref [] in
+  let add kind detail = log := (kind, detail) :: !log in
+  let hex s = Crypto.Sha256.hex (Crypto.Sha256.digest s) in
+  let tamper m =
+    let d = Channel.Wire.describe m in
+    add (match Astring.String.cut ~sep:" #" d with Some (k, _) -> k | None -> d)
+      (hex (Channel.Wire.to_bytes m));
+    rewrite m
+  in
+  let on_event e =
+    let name = event_name e in
+    add ("@" ^ List.hd (String.split_on_char ' ' name)) name
+  in
+  let o = transcript_run ~tamper ~on_event ?mode ?resume ?ticket_epoch channel in
+  let outcome =
+    String.concat " | "
+      [
+        result_shape o.Engarde.Provision.result;
+        (match o.Engarde.Provision.client_verdict with
+        | Some (ok, detail) -> Printf.sprintf "client %b %s" ok detail
+        | None -> "client none");
+        Option.fold ~none:"no negotiation" ~some:hex o.Engarde.Provision.negotiated_digest;
+        (match o.Engarde.Provision.channel_stats with
+        | None -> "no channel stats"
+        | Some s ->
+            Printf.sprintf "records %d bytes %d peak %d epochs %d resumed %b fallback %b spec %d/%d"
+              s.Engarde.Provision.records s.record_bytes s.in_flight_peak s.epoch_updates s.resumed
+              s.fallback s.spec_adopted s.spec_hashes);
+        Option.fold ~none:"no ticket" ~some:(fun (b, s) -> hex (b ^ s)) o.Engarde.Provision.ticket;
+        String.concat "," (List.map (fun (p, c) -> Printf.sprintf "%s=%d" p c) (phase_cycles o));
+      ]
+  in
+  let log = List.rev !log in
+  let rec runs = function
+    | [] -> []
+    | k :: rest ->
+        let rec count n = function k' :: tl when k' = k -> count (n + 1) tl | tl -> (n, tl) in
+        let n, tail = count 1 rest in
+        (if n = 1 then k else Printf.sprintf "%s*%d" k n) :: runs tail
+  in
+  ( hex (String.concat "\n" (List.map (fun (k, d) -> k ^ " " ^ d) log @ [ outcome ])),
+    String.concat ", " (runs (List.map fst log)) )
+
+let flip_quote_byte = function
+  | Channel.Wire.Quote_response ({ quote; _ } as q) ->
+      let quote = String.mapi (fun i c -> if i = 40 then Char.chr (Char.code c lxor 1) else c) quote in
+      Channel.Wire.Quote_response { q with quote }
+  | m -> m
+
+(* (flow, run, digest, kinds). Any change to a wire message, the
+   position of an event, a channel counter, the ticket or a modelled
+   cycle changes the digest. *)
+let transcript_cases =
+  [
+    ( "legacy full handshake",
+      (fun () -> transcript `Legacy),
+      "1c36eacf05443c950f7c1dc0999556b97493165dd49e2037e86963409dcaa8a7",
+      "client-hello, quote-response, wrapped-key, policy-offer (1 programs), @transfer-started, \
+       code-block*3, transfer-done, policy-accept, @policy-phase, verdict: accepted" );
+    ( "streaming cold",
+      (fun () -> transcript `Streaming),
+      "7507181e4c0af2ae1d121a1f9ffa82967eff179945878c95a43f8cd0967de5a9",
+      "client-hello, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
+       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
+       verdict: accepted, session-ticket" );
+    ( "0-RTT accepted",
+      (fun () -> transcript ~resume:(cold_ticket ()) `Streaming),
+      "7c7b26216d446108bcae892f90ea75fa177a8dd3500bc43bf8b9a787b9d3b5b5",
+      "resume, resume-accept, policy-accept, @transfer-started, record*2, @prefix-validated, \
+       record*3, @speculative-hash, @policy-phase, verdict: accepted, session-ticket" );
+    ( "0-RTT fallback on a stale epoch",
+      (fun () -> transcript ~resume:(cold_ticket ()) ~ticket_epoch:1 `Streaming),
+      "2b211772029061cd6adc8b3405b2226050d093b02c43991db2d308b2b9453b90",
+      "resume, record*4, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
+       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
+       verdict: accepted, session-ticket" );
+    ( "tampered quote",
+      (fun () -> transcript ~rewrite:flip_quote_byte `Streaming),
+      "ad9dfe149462f13b9ca3a97197560f7d969e32891432117038ebb8cddf9dc524",
+      "client-hello, quote-response" );
+    ( "policy rejection",
+      (fun () -> transcript ~mode:`Flow `Streaming),
+      "1b79478e28444674800ff547e1dfc123b1214add26c9ba4fc5d5700311e95881",
+      "client-hello, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
+       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
+       verdict: rejected" );
+  ]
+
+let transcript_test (name, run, digest, kinds) =
+  Alcotest.test_case name `Quick (fun () ->
+      let d, k = run () in
+      Alcotest.(check string) (name ^ ": kind sequence") kinds k;
+      Alcotest.(check string) (name ^ ": transcript digest") digest d)
+
+(* An adversary that rewrites the inspector's ticket into a second
+   verdict leaves the client with two verdicts: it must honour neither,
+   on the full handshake and on 0-RTT alike. *)
+let ticket_rewritten_into_verdict () =
+  let tamper = function
+    | Channel.Wire.Ticket _ -> Channel.Wire.Verdict { accepted = true; detail = "forged" }
+    | m -> m
+  in
+  let resume = cold_ticket () in
+  List.iter
+    (fun (name, o) ->
+      Alcotest.(check string) (name ^ ": inspector accepted") "ok"
+        (result_shape o.Engarde.Provision.result);
+      Alcotest.(check bool) (name ^ ": no client verdict") true
+        (o.Engarde.Provision.client_verdict = None))
+    [
+      ("full handshake", transcript_run ~tamper `Streaming);
+      ("0-RTT", transcript_run ~tamper ~resume `Streaming);
+    ]
+
+(* An offer that does not hash to the measured digest is refused as
+   tampered before any code is read, on either channel, and the client
+   honours no verdict without the echo it expects. *)
+let mismatched_offer_refused () =
+  List.iter
+    (fun channel ->
+      let o =
+        Engarde.Provision.run ~channel ~programs:[ ("ifcc", "another program") ] transcript_config
+          ~payload:(Lazy.force transcript_fixture)
+      in
+      Alcotest.(check string) "refused as tampered"
+        "error: transfer tampered: offered policy set does not match the measured digest"
+        (result_shape o.Engarde.Provision.result);
+      Alcotest.(check bool) "nothing negotiated" true (o.Engarde.Provision.negotiated_digest = None);
+      Alcotest.(check bool) "no client verdict" true (o.Engarde.Provision.client_verdict = None))
+    [ `Legacy; `Streaming ]
+
+(* ------------------------------------------------------------------ *)
 (* Service layer: audit parity and resumption telemetry                *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +575,7 @@ let () =
           Alcotest.test_case "adversarial fixtures" `Quick differential_adversarial;
           Alcotest.test_case "tampered stream" `Quick differential_tampered_stream;
           Alcotest.test_case "pipeline event order" `Quick pipeline_events_in_order;
+          Alcotest.test_case "non-ELF prefix checked once" `Slow non_elf_prefix_checked_once;
         ] );
       ( "zero-rtt",
         [
@@ -389,6 +583,13 @@ let () =
           Alcotest.test_case "stale epoch falls back" `Slow zero_rtt_stale_epoch;
           Alcotest.test_case "measurement mismatch falls back" `Slow zero_rtt_measurement_mismatch;
           Alcotest.test_case "tampered ticket falls back" `Slow zero_rtt_tampered_ticket;
+        ] );
+      ( "transcript",
+        List.map transcript_test transcript_cases
+        @ [
+          Alcotest.test_case "ticket rewritten into a second verdict" `Quick
+            ticket_rewritten_into_verdict;
+          Alcotest.test_case "mismatched policy offer" `Quick mismatched_offer_refused;
         ] );
       ( "ticket",
         [
