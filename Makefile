@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test fmt check bench bench-smoke bench-json policy-oracle profile lint clean
+.PHONY: all build test fmt check bench bench-smoke bench-quick bench-json policy-oracle profile lint clean
 
 all: build
 
@@ -26,14 +26,22 @@ fmt:
 # over every workload, and the control-flow lint over every example
 # workload. `test` includes the fleet suite (test_fleet.ml: MAGE
 # derivation, verdict-import trust rule, rogue-peer rejection,
-# quarantine failover).
-check: fmt build test bench-smoke policy-oracle lint
+# quarantine failover). `bench-quick` is the only step that drives all
+# four service workloads end to end (0-RTT resumption and the warm
+# restart included) against the benchmark's known-answer table.
+check: fmt build test bench-smoke bench-quick policy-oracle lint
 
 bench:
 	dune exec bench/main.exe
 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
+
+# Every benchmark workload once, in short form: exits non-zero when a
+# verdict departs from the known-answer table (benchmark/README.md). It
+# runs inside _build/, so it appends nothing to benchmark/history.jsonl.
+bench-quick:
+	dune build @benchmark/quick
 
 # The full differential: every workload (and adversarial fixture), the
 # five builtin DSL programs vs the native modules — verdicts, findings

@@ -674,9 +674,9 @@ let channel_provision =
    (code bytes begin to flow; handshake and enclave build are behind
    us) to the first policy-relevant event (TTFPE) and to the verdict
    (e2e). The legacy path's first such event is [Policy_phase], after
-   the whole transfer has drained; the streaming pipeline validates the
-   ELF prefix and starts speculative hashing while pages are still in
-   flight. *)
+   the whole transfer has drained; the streaming ingest validates the
+   ELF prefix as soon as the first record is staged, while later pages
+   are still in flight. *)
 let channel_run ?resume ~channel payload =
   let t0 = now_s () in
   let started = ref t0 and first = ref None in

@@ -75,10 +75,10 @@ let read_verdict = function
 (* Cold path: record-layer traffic keys hang off the session key the
    handshake just wrapped, so streaming requires the same attestation
    the legacy blocks did. *)
-let stream_seq ?meta t =
+let stream_seq t =
   if t.session = None then invalid_arg "Client.stream_seq before handle_quote";
   let w = Record.writer ~secret:(Record.traffic_secret ~key:t.session_key) in
-  Record.payload_record_seq ?meta w t.payload
+  Record.payload_record_seq w t.payload
 
 (* What the client stashes alongside the opaque ticket blob: the
    resumption secret it can later prove possession of. *)
@@ -88,10 +88,10 @@ let resumption t = if t.session = None then None else Some (Record.resumption_se
 
 let resume_opener t ~ticket = Wire.Resume { ticket; nonce = t.challenge_bytes }
 
-let zero_rtt_seq ?meta t ~resumption =
+let zero_rtt_seq t ~resumption =
   let secret = Record.zero_rtt_secret ~resumption ~nonce:t.challenge_bytes in
   let w = Record.writer ~secret in
-  Record.payload_record_seq ?meta w t.payload
+  Record.payload_record_seq w t.payload
 
 let check_resume_accept t ~resumption = function
   | Wire.Resume_accept { confirm } ->

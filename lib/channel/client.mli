@@ -53,7 +53,7 @@ val read_verdict : Wire.t -> (bool * string, failure) result
 
 (** {1 Streaming transfers and 0-RTT resumption} *)
 
-val stream_seq : ?meta:Record.meta -> t -> Wire.t Seq.t
+val stream_seq : t -> Wire.t Seq.t
 (** Step 3, streaming flavor: the payload as a lazy one-shot sequence
     of EGREC1 [Record]s (see {!Record.payload_record_seq}), under
     traffic keys derived from the wrapped session key. Requires a
@@ -67,7 +67,7 @@ val resume_opener : t -> ticket:string -> Wire.t
 (** The [Resume] message replacing [Client_hello]: the stored ticket
     plus a fresh nonce salting the 0-RTT traffic keys. *)
 
-val zero_rtt_seq : ?meta:Record.meta -> t -> resumption:string -> Wire.t Seq.t
+val zero_rtt_seq : t -> resumption:string -> Wire.t Seq.t
 (** The payload streamed immediately after {!resume_opener}, as a lazy
     one-shot record sequence under keys derived from the stashed
     resumption secret — no RSA handshake. *)

@@ -11,13 +11,10 @@ let magic = "EGREC1"
 
 (* --- canonical inner framing --------------------------------------- *)
 
-type meta = { text_addr : int; text_off : int; functions : (int * int) list }
-
 type plaintext =
   | Stream of { offset : int; data : string }
   | Fin of { total_len : int; digest : string }
   | Key_update
-  | Meta of meta
 
 let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
 let u64 n = String.init 8 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
@@ -34,10 +31,6 @@ let frame = function
       if String.length digest <> 32 then invalid_arg "Record.frame: digest must be 32 bytes";
       "\x02" ^ u32 total_len ^ digest
   | Key_update -> "\x03"
-  | Meta { text_addr; text_off; functions } ->
-      "\x04" ^ u32 text_addr ^ u32 text_off
-      ^ u32 (List.length functions)
-      ^ String.concat "" (List.map (fun (lo, hi) -> u32 lo ^ u32 hi) functions)
 
 (* Strict and canonical: every byte string decodes to at most one
    plaintext, and [frame (Option.get (unframe s)) = s]. *)
@@ -53,20 +46,6 @@ let unframe s =
         if len <> 37 then None
         else Some (Fin { total_len = read_u32 s 1; digest = String.sub s 5 32 })
     | '\x03' -> if len <> 1 then None else Some Key_update
-    | '\x04' ->
-        if len < 13 then None
-        else begin
-          let count = read_u32 s 9 in
-          if count > 0xffff || len <> 13 + (8 * count) then None
-          else
-            Some
-              (Meta
-                 {
-                   text_addr = read_u32 s 1;
-                   text_off = read_u32 s 5;
-                   functions = List.init count (fun i -> (read_u32 s (13 + (8 * i)), read_u32 s (17 + (8 * i))));
-                 })
-        end
     | _ -> None
 
 (* --- key schedule --------------------------------------------------- *)
@@ -204,7 +183,7 @@ let read r ~epoch ~rn ~ciphertext ~tag =
               ratchet ();
               r.poisoned <- false;
               Recovered
-          | Stream _ | Meta _ -> Skip
+          | Stream _ -> Skip
         end
         else if rn <> r.rrn then
           fail (Printf.sprintf "record %d out of order (expected %d)" rn r.rrn)
@@ -223,15 +202,13 @@ let read r ~epoch ~rn ~ciphertext ~tag =
 
 let block_size = 4096
 
-(* The streamed transfer: optional metadata up front (so the inspector
-   can start speculative per-function work while pages are in flight),
-   page-sized stream records in file order, and a Fin trailer carrying
-   the whole-payload digest — the same commitment the legacy
-   Transfer_done made. The Seq is lazy and one-shot: each pull seals
-   the next record, so a pipelined driver interleaves production with
-   the inspector's consumption instead of encrypting everything up
-   front. *)
-let payload_record_seq ?meta w payload =
+(* The streamed transfer: page-sized stream records in file order and
+   a Fin trailer carrying the whole-payload length and digest — the
+   same commitment the legacy Transfer_done made. The Seq is lazy and
+   one-shot: each pull seals the next record, so a pipelined caller
+   interleaves production with the inspector's consumption instead of
+   encrypting everything up front. *)
+let payload_record_seq w payload =
   let len = String.length payload in
   let rec body offset () =
     if offset >= len then
@@ -241,8 +218,6 @@ let payload_record_seq ?meta w payload =
       Seq.Cons (seal w (Stream { offset; data = String.sub payload offset n }), body (offset + n))
     end
   in
-  match meta with
-  | None -> body 0
-  | Some m -> fun () -> Seq.Cons (seal w (Meta m), body 0)
+  body 0
 
-let payload_records ?meta w payload = List.of_seq (payload_record_seq ?meta w payload)
+let payload_records w payload = List.of_seq (payload_record_seq w payload)

@@ -9,12 +9,6 @@
     labels. [Key_update] ratchets the epoch secret one-way and resets
     the record number. *)
 
-type meta = { text_addr : int; text_off : int; functions : (int * int) list }
-(** Client hints for pipelined inspection: the text section's vaddr and
-    file offset plus the [(start, end)] vaddr range of each function.
-    Advisory only — the inspector verifies everything it adopts against
-    its own authoritative parse. *)
-
 (** Inner frame of one record, under the strict canonical EGREC1 codec
     (fuzzed in [test_channel.ml]): decoding is total and unambiguous,
     and [frame] o [unframe] is the identity on valid encodings. *)
@@ -24,7 +18,6 @@ type plaintext =
   | Fin of { total_len : int; digest : string }
       (** end of transfer: length and SHA-256 of the whole payload *)
   | Key_update  (** ratchet announcement, sealed under the old epoch *)
-  | Meta of meta
 
 val frame : plaintext -> string
 val unframe : string -> plaintext option
@@ -60,12 +53,12 @@ val update_key : writer -> Wire.t
 
 val writer_epoch : writer -> int
 
-val payload_records : ?meta:meta -> writer -> string -> Wire.t list
-(** The full streamed transfer: the optional [Meta] hint, page-sized
-    [Stream] records in file order, and the [Fin] trailer committing to
-    the whole payload's length and digest. *)
+val payload_records : writer -> string -> Wire.t list
+(** The full streamed transfer: page-sized [Stream] records in file
+    order, then the [Fin] trailer committing to the whole payload's
+    length and digest. *)
 
-val payload_record_seq : ?meta:meta -> writer -> string -> Wire.t Seq.t
+val payload_record_seq : writer -> string -> Wire.t Seq.t
 (** Lazy, one-shot variant of {!payload_records}: each pull seals the
     next record, so a pipelined driver can interleave production with
     consumption. Do not traverse twice (the writer is stateful). *)

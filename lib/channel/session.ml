@@ -98,10 +98,10 @@ type streamer = { writer : Record.writer; mutable sent : int }
 
 let streamer ~key = { writer = Record.writer ~secret:(Record.traffic_secret ~key); sent = 0 }
 
-let stream_messages ?meta s payload =
+let stream_messages s payload =
   let prologue = if s.sent = 0 then [] else [ Record.update_key s.writer ] in
   s.sent <- s.sent + 1;
-  prologue @ Record.payload_records ?meta s.writer payload
+  prologue @ Record.payload_records s.writer payload
 
 (* ------------------------------------------------------------------ *)
 (* Multiplexed server loop                                             *)
@@ -227,7 +227,7 @@ module Mux = struct
             store c ~offset data;
             None
         | Record.Accept (Record.Fin { total_len; digest }) -> Some (finish c ~total_len ~digest)
-        | Record.Accept Record.Key_update | Record.Accept (Record.Meta _) -> None
+        | Record.Accept Record.Key_update -> None
         | Record.Corrupt why ->
             reset c;
             Some (Corrupt { conn = c.id; why })

@@ -59,7 +59,7 @@ type streamer
 
 val streamer : key:string -> streamer
 
-val stream_messages : ?meta:Record.meta -> streamer -> string -> Wire.t list
+val stream_messages : streamer -> string -> Wire.t list
 (** One streamed transfer as wire messages (ratchet prologue when this
     is not the first transfer, then {!Record.payload_records}). *)
 

@@ -367,27 +367,6 @@ let tiled_slice t ~addr =
           Some (addr - b.Disasm.base, stop - addr, cost)
       | Some _ | None -> None)
 
-(* Adopt digests the streaming pipeline computed from raw staged bytes
-   while later pages were still in flight. A digest for [lo, hi) is
-   adopted only when the index proves it equals what [hash_and_cost]
-   would produce: [hi] is exactly the function end, and the decoded
-   entries tile [lo, hi) back-to-back (see [tiled_slice]). Anything
-   unverifiable is dropped and recomputed on demand. *)
-let adopt_digests t digests =
-  let b = t.buffer in
-  let adopted = ref 0 in
-  List.iter
-    (fun (lo, hi, hex) ->
-      if (not (Hashtbl.mem t.hashes lo)) && not (Hashtbl.mem t.precomputed lo) then begin
-        match tiled_slice t ~addr:lo with
-        | Some (pos, len, cost) when b.Disasm.base + pos = lo && lo + len = hi ->
-            Hashtbl.replace t.precomputed lo (hex, cost);
-            incr adopted
-        | Some _ | None -> ()
-      end)
-    digests;
-  !adopted
-
 (* [hash_and_cost] mapped over a batch: functions whose bodies are
    contiguous in the buffer go through the multi-buffer
    [Sha256.digest_many] sweep (4–8 bodies per pass); the rest fall back

@@ -136,19 +136,6 @@ type hash_runner = hash_task list -> (int * (string * int)) list list
     gives a parallel runner; [List.map (fun f -> f ())] is the
     sequential equivalent (same results by construction). *)
 
-val adopt_digests : t -> (int * int * string) list -> int
-(** [adopt_digests t [(lo, hi, hex); ...]] installs digests the
-    streaming pipeline computed speculatively from raw staged bytes
-    (hex SHA-256 of the byte range [\[lo, hi)]) into the precomputed
-    store. Each entry is adopted only if the index proves it equals
-    what {!function_hash} would compute: [hi] must be exactly the
-    function end for [lo] and the decoded entries must tile [\[lo, hi)]
-    with no gaps — otherwise the entry is silently dropped and the
-    digest is recomputed on demand. The carried cost is derived from
-    the entry walk, so adopted digests charge bit-identically to a
-    cold computation. Charges NO cycles itself. Returns how many
-    entries were adopted. *)
-
 val prehash : ?tasks:int -> ?threshold:int -> run_all:hash_runner -> t -> unit
 (** Hash every not-yet-memoized function that a direct call resolves to
     (the library-linking policy's candidate set), fanning the work out

@@ -72,15 +72,9 @@ type channel_stats = {
   epoch_updates : int;
   resumed : bool;
   fallback : bool;
-  spec_hashes : int;
-  spec_adopted : int;
 }
 
-type pipeline_event =
-  | Transfer_started
-  | Prefix_validated
-  | Speculative_hash of { addr : int }
-  | Policy_phase
+type pipeline_event = Transfer_started | Prefix_validated | Policy_phase
 
 type outcome = {
   result : (Loader.loaded, rejection) result;
@@ -241,176 +235,6 @@ module Ticket = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Streaming ingest pipeline                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The record channel's ingest state. Records feed in as they arrive:
-   stream bytes land in enclave staging immediately (the same charged
-   [Sgx.Enclave.write]s the block drain performs), the ELF prefix is
-   sanity-checked as soon as it lands, and — when the client supplied a
-   [Meta] hint — per-function digests are computed speculatively
-   (optionally on the domain pool) while later pages are still in
-   flight. Speculative work is UNCHARGED and advisory: its digests are
-   adopted only after byte-for-byte verification against the
-   authoritative parse ([Analysis.adopt_digests]), so verdicts and
-   modelled cycles are bit-identical to the block channel. *)
-module Pipeline = struct
-  type t = {
-    enclave : Sgx.Enclave.t;
-    staging : int;
-    reader : Channel.Record.reader;
-    shadow : Buffer.t;  (* host-side plaintext copy for speculative work *)
-    on_event : pipeline_event -> unit;
-    hash_runner : Analysis.hash_runner option;
-    mutable meta : Channel.Record.meta option;
-    mutable prefix_ok : bool;
-    mutable pending_fns : (int * int * int) list;  (* (lo, hi, src_off), by src end *)
-    mutable ready_fns : (int * int * int) list;    (* batched for the next flush *)
-    mutable spec : (int * int * int * string) list;
-    mutable received : int;
-    mutable fin : (int * string) option;
-    mutable records : int;
-    mutable record_bytes : int;
-    mutable spec_hashes : int;
-  }
-
-  let spec_batch = 8
-
-  let create ~enclave ~staging ~secret ~hash_runner ~on_event =
-    {
-      enclave;
-      staging;
-      reader = Channel.Record.reader ~secret;
-      shadow = Buffer.create 4096;
-      on_event;
-      hash_runner;
-      meta = None;
-      prefix_ok = false;
-      pending_fns = [];
-      ready_fns = [];
-      spec = [];
-      received = 0;
-      fin = None;
-      records = 0;
-      record_bytes = 0;
-      spec_hashes = 0;
-    }
-
-  (* Hash a batch of landed functions. Slices are snapshotted on the
-     ingesting thread; only the SHA-256 runs on the pool. Results carry
-     no cost — the index computes the charge at adoption time. *)
-  let flush_spec t =
-    match t.ready_fns with
-    | [] -> ()
-    | batch ->
-        t.ready_fns <- [];
-        let batch = List.rev batch in
-        let slices =
-          List.map
-            (fun (lo, hi, src_off) ->
-              (lo, hi, src_off, Buffer.sub t.shadow src_off (hi - lo)))
-            batch
-        in
-        let tasks =
-          List.map
-            (fun (lo, hi, _, slice) () ->
-              [ (lo, (Crypto.Sha256.hex (Crypto.Sha256.digest slice), hi)) ])
-            slices
-        in
-        let results =
-          match t.hash_runner with
-          | Some run_all -> run_all tasks
-          | None -> List.map (fun task -> task ()) tasks
-        in
-        let digests =
-          List.map2
-            (fun (lo, hi, src_off, _) -> function
-              | [ (lo', (hex, hi')) ] when lo' = lo && hi' = hi -> (lo, hi, src_off, hex)
-              | _ -> (lo, hi, src_off, ""))
-            slices results
-        in
-        let digests = List.filter (fun (_, _, _, hex) -> hex <> "") digests in
-        t.spec <- t.spec @ digests;
-        t.spec_hashes <- t.spec_hashes + List.length digests;
-        (match digests with
-        | (lo, _, _, _) :: _ -> t.on_event (Speculative_hash { addr = lo })
-        | [] -> ())
-
-  let advance_spec t ~final =
-    (match t.meta with
-    | None -> ()
-    | Some _ when not t.prefix_ok -> ()
-    | Some _ ->
-        let ready, waiting =
-          List.partition (fun (lo, hi, src_off) -> src_off + (hi - lo) <= t.received) t.pending_fns
-        in
-        t.pending_fns <- waiting;
-        List.iter (fun fn -> t.ready_fns <- fn :: t.ready_fns) ready);
-    if final || List.length t.ready_fns >= spec_batch then flush_spec t
-
-  (* Checked once, by the record that brings the stream to 16 bytes:
-     later records only append, so the verdict on the magic cannot
-     change, and re-reading the prefix would cost a copy per record. *)
-  let check_prefix t ~before =
-    if before < 16 && t.received >= 16 && Buffer.sub t.shadow 0 5 = "\x7fELF\x02" then begin
-      t.prefix_ok <- true;
-      t.on_event Prefix_validated
-    end
-
-  let accept_meta t (m : Channel.Record.meta) =
-    if t.meta = None then begin
-      t.meta <- Some m;
-      (* Sanitize the advisory ranges: anything that cannot name a real
-         function is dropped here; anything that survives is verified
-         byte-for-byte before adoption. *)
-      let fns =
-        List.filter_map
-          (fun (lo, hi) ->
-            if lo >= hi || lo < m.Channel.Record.text_addr then None
-            else begin
-              let src_off = m.Channel.Record.text_off + (lo - m.Channel.Record.text_addr) in
-              if src_off < 0 then None else Some (lo, hi, src_off)
-            end)
-          m.Channel.Record.functions
-      in
-      t.pending_fns <-
-        List.sort (fun (_, h1, s1) (_, h2, s2) -> compare (s1 + h1) (s2 + h2)) fns
-    end
-
-  (* Ingest one wire message; non-record traffic is not the pipeline's
-     to interpret. A record that fails authentication or framing
-     rejects the transfer as tampered. *)
-  let feed t msg =
-    match msg with
-    | Channel.Wire.Record { epoch; rn; ciphertext; tag } -> begin
-        t.records <- t.records + 1;
-        t.record_bytes <- t.record_bytes + String.length ciphertext;
-        match Channel.Record.read t.reader ~epoch ~rn ~ciphertext ~tag with
-        | Channel.Record.Corrupt why -> tampered why
-        | Channel.Record.Skip | Channel.Record.Recovered -> ()
-        | Channel.Record.Accept Channel.Record.Key_update -> ()
-        | Channel.Record.Accept (Channel.Record.Meta m) -> accept_meta t m
-        | Channel.Record.Accept (Channel.Record.Stream { offset; data }) ->
-            if t.fin <> None then tampered "stream record after fin"
-            else if offset <> t.received then tampered "non-contiguous stream record"
-            else begin
-              Sgx.Enclave.write t.enclave ~vaddr:(t.staging + offset) data;
-              Buffer.add_string t.shadow data;
-              t.received <- t.received + String.length data;
-              check_prefix t ~before:offset;
-              advance_spec t ~final:false
-            end
-        | Channel.Record.Accept (Channel.Record.Fin { total_len; digest }) ->
-            if t.fin <> None then tampered "duplicate fin record"
-            else begin
-              advance_spec t ~final:true;
-              t.fin <- Some (total_len, digest)
-            end
-      end
-    | _ -> ()
-end
-
-(* ------------------------------------------------------------------ *)
 (* Shared inspection stage                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,20 +242,19 @@ end
 type staged = {
   total_len : int;  (* the length and SHA-256 the client declared *)
   digest : string;
-  spec : (int * int * int * string) list;  (* speculative (lo, hi, src_off, hex) digests *)
-  stats : channel_stats option;  (* record-channel counters; [spec_adopted] is set later *)
+  received : int;  (* the extent of the bytes that actually landed in staging *)
+  stats : channel_stats option;  (* record-channel counters *)
 }
 
 (* Everything from "the whole file is staged" to "loaded or rejected".
-   BOTH channels run exactly this code with exactly these charges: the
-   record pipeline's head start feeds in only through
-   [Analysis.adopt_digests], whose verified adoptions charge
-   bit-identically to cold computation. Returns the loaded image, the
-   policy results, and how many speculative digests survived
-   verification. *)
-let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event { total_len; digest; spec; _ } =
-  let staging = staging_base c in
-  let file = Sgx.Enclave.read enclave ~vaddr:staging ~len:total_len in
+   BOTH channels run exactly this code with exactly these charges.
+   The declared length is checked against the staged extent before
+   anything reads staging, so a forged trailer can neither size the
+   read nor pass for a fault in the binary. *)
+let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event
+    { total_len; digest; received; _ } =
+  if total_len <> received then tampered "missing blocks";
+  let file = Sgx.Enclave.read enclave ~vaddr:(staging_base c) ~len:total_len in
   if Crypto.Sha256.digest file <> digest then
     tampered "payload digest mismatch";
   (* --- header validation --- *)
@@ -471,31 +294,6 @@ let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event { total_le
       ~callgraph_perf:report.Report.callgraph ~summary_perf:report.Report.summary
       ~perf:report.Report.policy buffer symbols
   in
-  (* Adopt the pipeline's speculative digests. A digest is used only
-     when the bytes it hashed are literally the authoritative text
-     bytes for that range (so a lying Meta hint degrades the head
-     start, never the verdict) and the index confirms the range tiles a
-     known function (see [Analysis.adopt_digests]). Uncharged. *)
-  let spec_adopted =
-    match spec with
-    | [] -> 0
-    | entries ->
-        let tbase = text.Elf64.Reader.addr in
-        let tlen = String.length text.Elf64.Reader.data in
-        let flen = String.length file in
-        let verified =
-          List.filter_map
-            (fun (lo, hi, src_off, hex) ->
-              let n = hi - lo in
-              if
-                lo >= tbase && hi <= tbase + tlen && src_off >= 0 && src_off + n <= flen
-                && String.sub file src_off n = String.sub text.Elf64.Reader.data (lo - tbase) n
-              then Some (lo, hi, hex)
-              else None)
-            entries
-        in
-        Analysis.adopt_digests ctx.Policy.index verified
-  in
   (* Warm the function-hash store in parallel before the policies run.
      Uncharged — see [Analysis.prehash] — so the modelled-cycle
      accounting below is unchanged. *)
@@ -515,45 +313,7 @@ let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event { total_le
     | Ok l -> l
     | Error e -> raise (Reject (Load_failed (Loader.error_to_string e)))
   in
-  (loaded, policy_results, spec_adopted)
-
-(* Client-side Meta hint: the client knows its own binary, so it can
-   tell the inspector where the text section lives in the file and
-   where each function starts and ends. Pure convenience data — the
-   inspector re-derives ground truth and verifies every adoption. *)
-let meta_of_payload payload =
-  match Elf64.Reader.parse payload with
-  | Error _ -> None
-  | Ok elf -> (
-      match Elf64.Reader.text_sections elf with
-      | [ text ] ->
-          let tbase = text.Elf64.Reader.addr in
-          let tend = tbase + String.length text.Elf64.Reader.data in
-          let text_off =
-            List.find_map
-              (fun (ph : Elf64.Types.phdr) ->
-                if ph.Elf64.Types.p_vaddr <= tbase
-                   && tbase < ph.Elf64.Types.p_vaddr + ph.Elf64.Types.p_filesz
-                then Some (ph.Elf64.Types.p_offset + (tbase - ph.Elf64.Types.p_vaddr))
-                else None)
-              elf.Elf64.Reader.phdrs
-          in
-          Option.map
-            (fun text_off ->
-              let syms = Elf64.Reader.function_symbols elf in
-              let starts = List.map (fun (s : Elf64.Types.symbol) -> s.Elf64.Types.st_value) syms in
-              let rec ranges = function
-                | [] -> []
-                | [ last ] -> [ (last, tend) ]
-                | a :: (b :: _ as rest) -> (a, b) :: ranges rest
-              in
-              {
-                Channel.Record.text_addr = tbase;
-                text_off;
-                functions = List.filter (fun (lo, hi) -> lo >= tbase && lo < hi && hi <= tend) (ranges starts);
-              })
-            text_off
-      | _ -> None)
+  (loaded, policy_results)
 
 (* ------------------------------------------------------------------ *)
 (* The provisioning flow                                               *)
@@ -568,7 +328,7 @@ type session = {
          the RSA-unwrapped session key, and forcing it performs the
          enclave's first reads: the unwrap and the policy-offer check.
          After 0-RTT it is the 0-RTT traffic secret. *)
-  stream : Channel.Record.meta option -> string * Channel.Wire.t Seq.t;
+  stream : unit -> string * Channel.Wire.t Seq.t;
       (* the enclave's record-layer secret and the client's records *)
   client_resumption : string;  (* what the client stashes beside a ticket *)
   confirmed : Channel.Wire.t list -> bool;  (* the client's check that 0-RTT was accepted *)
@@ -648,9 +408,8 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
             fallback;
             key;
             stream =
-              (fun meta ->
-                ( Channel.Record.traffic_secret ~key:(Lazy.force key),
-                  Channel.Client.stream_seq ?meta client ));
+              (fun () ->
+                (Channel.Record.traffic_secret ~key:(Lazy.force key), Channel.Client.stream_seq client));
             client_resumption = Option.get (Channel.Client.resumption client);
             confirmed = (fun _ -> true);
           }
@@ -686,7 +445,7 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
                 resumed = true;
                 fallback = false;
                 key = Lazy.from_val secret;
-                stream = (fun meta -> (secret, Channel.Client.zero_rtt_seq ?meta client ~resumption));
+                stream = (fun () -> (secret, Channel.Client.zero_rtt_seq client ~resumption));
                 client_resumption = Channel.Client.resumed_secret client ~resumption;
                 confirmed = List.exists (Channel.Client.check_resume_accept client ~resumption);
               }
@@ -709,7 +468,8 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
   (* The paper's block channel (Figures 3-5): the client sends every
      block, then the enclave unwraps the session key and drains them
      into staging. Blocks carry their own offsets, so a gap shows only
-     in the extent that landed. *)
+     in the extent that landed, which [inspect] holds against the
+     declared length. *)
   let ingest_blocks s =
     on_event Transfer_started;
     List.iter (Channel.Transport.send client_ep) (Channel.Client.code_messages client);
@@ -728,39 +488,60 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
       (Channel.Transport.drain enclave_ep);
     match !fin with
     | None -> tampered "transfer never completed"
-    | Some (total_len, _) when total_len <> !received -> tampered "missing blocks"
-    | Some (total_len, digest) -> { total_len; digest; spec = []; stats = None }
+    | Some (total_len, digest) -> { total_len; digest; received = !received; stats = None }
   in
   (* The record channel: the enclave reads each record as the client
-     produces it. Whatever the transport dropped shows up as a transfer
-     that never completed. *)
+     produces it and stages its bytes at once, in order. The ELF magic
+     is checked once, by the record that brings the stream to 16 bytes:
+     later records only append, so the answer cannot change. Whatever
+     the transport dropped shows up as a transfer that never completed
+     or one shorter than its Fin declares. *)
   let ingest_records s =
-    let secret, records = s.stream (meta_of_payload payload) in
-    let p = Pipeline.create ~enclave ~staging:(staging_base c) ~secret ~hash_runner ~on_event in
+    let secret, records = s.stream () in
+    let reader = Channel.Record.reader ~secret in
     on_event Transfer_started;
-    let in_flight_peak = ref 0 in
+    let fin = ref None and received = ref 0 in
+    let count = ref 0 and bytes = ref 0 and in_flight_peak = ref 0 in
+    let feed = function
+      | Channel.Wire.Record { epoch; rn; ciphertext; tag } -> (
+          incr count;
+          bytes := !bytes + String.length ciphertext;
+          match Channel.Record.read reader ~epoch ~rn ~ciphertext ~tag with
+          | Channel.Record.Corrupt why -> tampered why
+          | Channel.Record.(Skip | Recovered | Accept Key_update) -> ()
+          | Channel.Record.Accept (Stream { offset; data }) ->
+              if !fin <> None then tampered "stream record after fin";
+              if offset <> !received then tampered "non-contiguous stream record";
+              Sgx.Enclave.write enclave ~vaddr:(staging_base c + offset) data;
+              received := offset + String.length data;
+              if offset < 16 && !received >= 16
+                 && Sgx.Enclave.read enclave ~vaddr:(staging_base c) ~len:5 = "\x7fELF\x02"
+              then on_event Prefix_validated
+          | Channel.Record.Accept (Fin { total_len; digest }) ->
+              if !fin <> None then tampered "duplicate fin record";
+              fin := Some (total_len, digest))
+      | _ -> ()
+    in
     Seq.iter
       (fun msg ->
         Channel.Transport.send client_ep msg;
         in_flight_peak := max !in_flight_peak (Channel.Transport.pending_bytes enclave_ep);
-        List.iter (Pipeline.feed p) (Channel.Transport.drain enclave_ep))
+        List.iter feed (Channel.Transport.drain enclave_ep))
       records;
-    match p.Pipeline.fin with
+    match !fin with
     | None -> tampered "transfer never completed"
     | Some (total_len, digest) ->
         let stats =
           {
-            records = p.Pipeline.records;
-            record_bytes = p.Pipeline.record_bytes;
+            records = !count;
+            record_bytes = !bytes;
             in_flight_peak = !in_flight_peak;
-            epoch_updates = Channel.Record.epoch_updates p.Pipeline.reader;
+            epoch_updates = Channel.Record.epoch_updates reader;
             resumed = s.resumed;
             fallback = s.fallback;
-            spec_hashes = p.Pipeline.spec_hashes;
-            spec_adopted = 0;
           }
         in
-        { total_len; digest; spec = p.Pipeline.spec; stats = Some stats }
+        { total_len; digest; received = !received; stats = Some stats }
   in
   let ingest = match channel with `Legacy -> ingest_blocks | `Streaming -> ingest_records in
 
@@ -768,11 +549,9 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
   let judge s =
     match
       let staged = ingest s in
-      let loaded, policy_results, spec_adopted =
-        inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event staged
-      in
-      chan_stats := Option.map (fun st -> { st with spec_adopted }) staged.stats;
-      (loaded, policy_results)
+      let judged = inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event staged in
+      chan_stats := staged.stats;
+      judged
     with
     | loaded, policy_results -> (Ok loaded, policy_results)
     | exception Reject (Policy_violations results as r) -> (Error r, results)

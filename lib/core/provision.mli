@@ -61,14 +61,12 @@ type channel_stats = {
   epoch_updates : int;    (** key ratchets the reader followed *)
   resumed : bool;         (** this run rode a 0-RTT ticket *)
   fallback : bool;        (** a 0-RTT attempt fell back to a full handshake *)
-  spec_hashes : int;      (** function digests computed while pages were in flight *)
-  spec_adopted : int;     (** of those, adopted after byte-for-byte verification *)
 }
 
 (** Progress callbacks from {!run}, for latency instrumentation (e.g.
     time-to-first-policy-relevant-event, measured from
     [Transfer_started]). [Transfer_started] and [Policy_phase] fire on
-    both channels; the two in between come only from the record
+    both channels; [Prefix_validated] comes only from the record
     channel's ingest, since the block channel receives everything
     before it looks at any of it. *)
 type pipeline_event =
@@ -79,10 +77,8 @@ type pipeline_event =
           and checked the policy offer (or accepted a 0-RTT ticket) *)
   | Prefix_validated
       (** the first 16 staged bytes arrived and begin with the ELF64
-          magic; checked once, so a stream that fails it never fires *)
-  | Speculative_hash of { addr : int }
-      (** a batch of speculative function digests landed; [addr] is the
-          first function's address *)
+          magic, read back from enclave staging; checked once, so a
+          stream that fails it never fires *)
   | Policy_phase            (** authoritative inspection reached the policy run *)
 
 type outcome = {

@@ -50,8 +50,6 @@ type t = {
   handshakes : int Atomic.t;
   resumptions : int Atomic.t;
   resumption_fallbacks : int Atomic.t;
-  spec_hashes : int Atomic.t;
-  spec_adopted : int Atomic.t;
   (* 0-RTT ticket stash (scheduler-side LRU) *)
   ticket_stash_size : int Atomic.t;
   ticket_evictions : int Atomic.t;
@@ -133,8 +131,6 @@ let create () =
     handshakes = Atomic.make 0;
     resumptions = Atomic.make 0;
     resumption_fallbacks = Atomic.make 0;
-    spec_hashes = Atomic.make 0;
-    spec_adopted = Atomic.make 0;
     ticket_stash_size = Atomic.make 0;
     ticket_evictions = Atomic.make 0;
     fleet_pushes = Atomic.make 0;
@@ -202,16 +198,13 @@ let set_audit_log_size t n = Atomic.set t.audit_log_size n
    [handshakes], 0-RTT rides under [resumptions], and a resumption that
    degraded to a full handshake counts under both [handshakes] and
    [resumption_fallbacks]. *)
-let observe_channel t ~records ~bytes ~in_flight ~epoch_updates ~resumed ~fallback ~spec_hashes
-    ~spec_adopted =
+let observe_channel t ~records ~bytes ~in_flight ~epoch_updates ~resumed ~fallback =
   addto t.records_received records;
   addto t.record_bytes bytes;
   raise_peak t.in_flight_peak in_flight;
   addto t.epoch_updates epoch_updates;
   if resumed then incr t.resumptions else incr t.handshakes;
-  if fallback then incr t.resumption_fallbacks;
-  addto t.spec_hashes spec_hashes;
-  addto t.spec_adopted spec_adopted
+  if fallback then incr t.resumption_fallbacks
 
 let set_ticket_stash t n = Atomic.set t.ticket_stash_size n
 let ticket_evicted t = incr t.ticket_evictions
@@ -323,8 +316,6 @@ let render ?shards ?pool t ~queue ~cache =
   line "channel_handshakes_total %d" (Atomic.get t.handshakes);
   line "channel_resumptions_total %d" (Atomic.get t.resumptions);
   line "channel_resumption_fallbacks_total %d" (Atomic.get t.resumption_fallbacks);
-  line "channel_speculative_hashes_total %d" (Atomic.get t.spec_hashes);
-  line "channel_speculative_adopted_total %d" (Atomic.get t.spec_adopted);
   line "phase_cycles_total{phase=\"disassembly\"} %d" (Atomic.get t.disassembly);
   line "phase_cycles_total{phase=\"policy\"} %d" (Atomic.get t.policy);
   line "analysis_callgraph_cycles_total %d" (Atomic.get t.callgraph);

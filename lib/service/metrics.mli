@@ -82,8 +82,6 @@ val observe_channel :
   epoch_updates:int ->
   resumed:bool ->
   fallback:bool ->
-  spec_hashes:int ->
-  spec_adopted:int ->
   unit
 (** One streaming transfer's channel telemetry (the fields of
     [Engarde.Provision.channel_stats]). A resumed run counts as a

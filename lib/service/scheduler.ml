@@ -582,8 +582,7 @@ let finish_attempt t ~worker a outcome =
       Metrics.observe_channel t.metrics ~records:st.Engarde.Provision.records
         ~bytes:st.Engarde.Provision.record_bytes ~in_flight:st.Engarde.Provision.in_flight_peak
         ~epoch_updates:st.Engarde.Provision.epoch_updates ~resumed:st.Engarde.Provision.resumed
-        ~fallback:st.Engarde.Provision.fallback ~spec_hashes:st.Engarde.Provision.spec_hashes
-        ~spec_adopted:st.Engarde.Provision.spec_adopted;
+        ~fallback:st.Engarde.Provision.fallback;
       (* A fallback consumed the stashed ticket (the server refused it);
          drop it so the next attempt doesn't replay the same failure. *)
       if st.Engarde.Provision.fallback then ticket_drop t (ticket_key t a));

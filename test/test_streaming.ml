@@ -83,16 +83,13 @@ let differential_all_workloads () =
       | None -> Alcotest.failf "%s: no channel stats" name
       | Some st ->
           let pages = (String.length img.Linker.elf + 4095) / 4096 in
-          Alcotest.(check int) (name ^ ": meta + pages + fin") (pages + 2) st.Engarde.Provision.records;
+          Alcotest.(check int) (name ^ ": pages + fin") (pages + 1) st.Engarde.Provision.records;
           Alcotest.(check bool) (name ^ ": record bytes cover the payload") true
             (st.Engarde.Provision.record_bytes >= String.length img.Linker.elf);
           Alcotest.(check bool) (name ^ ": pipelining kept records in flight") true
             (st.Engarde.Provision.in_flight_peak > 0);
           Alcotest.(check int) (name ^ ": single-transfer epoch") 0 st.Engarde.Provision.epoch_updates;
-          Alcotest.(check bool) (name ^ ": cold run") false st.Engarde.Provision.resumed;
-          Alcotest.(check bool) (name ^ ": speculative work adopted") true
-            (st.Engarde.Provision.spec_adopted > 0
-            && st.Engarde.Provision.spec_adopted = st.Engarde.Provision.spec_hashes))
+          Alcotest.(check bool) (name ^ ": cold run") false st.Engarde.Provision.resumed)
     Workloads.all
 
 (* The adversarial fixtures exercise the rejection path: both channels
@@ -132,8 +129,8 @@ let differential_tampered_stream () =
   | Ok _ -> Alcotest.fail "tampered record stream accepted"
   | Error r -> Alcotest.failf "wrong rejection: %s" (Engarde.Provision.rejection_to_string r)
 
-(* Pipeline staging is observable: the ELF prefix validates before the
-   policy phase, and speculative digests land while pages stream. *)
+(* Pipeline staging is observable: the ELF prefix validates while pages
+   stream, before the policy phase. *)
 let pipeline_events_in_order () =
   let img = Linker.link (Workloads.build Codegen.plain Workloads.Mcf) in
   let events = ref [] in
@@ -152,14 +149,11 @@ let pipeline_events_in_order () =
   in
   let started = index (function Engarde.Provision.Transfer_started -> true | _ -> false) in
   let prefix = index (function Engarde.Provision.Prefix_validated -> true | _ -> false) in
-  let spec = index (function Engarde.Provision.Speculative_hash _ -> true | _ -> false) in
   let policy = index (function Engarde.Provision.Policy_phase -> true | _ -> false) in
   Alcotest.(check int) "transfer start announced first" 0 started;
   Alcotest.(check bool) "prefix validated early" true (prefix >= 0);
-  Alcotest.(check bool) "speculative hashing happened" true (spec >= 0);
   Alcotest.(check bool) "policy phase announced" true (policy >= 0);
-  Alcotest.(check bool) "prefix before speculation" true (prefix < spec);
-  Alcotest.(check bool) "speculation while pages in flight" true (spec < policy)
+  Alcotest.(check bool) "prefix before policy phase" true (prefix < policy)
 
 (* The ELF magic is checked once, as soon as 16 bytes have landed: a
    non-ELF stream must not copy its growing prefix on every record.
@@ -274,6 +268,51 @@ let zero_rtt_tampered_ticket () =
       let blob = String.mapi (fun i c -> if i = 20 then Char.chr (Char.code c lxor 1) else c) blob in
       (cfg, 0, (blob, secret)))
 
+(* A Fin that misstates the payload length is a transfer fault, caught
+   before anything reads staging: never a loader fault blamed on the
+   binary, and never a staging read sized by the sender. The adversary
+   holds the resumption secret of the cold run's ticket, so it can open
+   and re-seal every 0-RTT record; it rewrites only the Fin's length. *)
+let zero_rtt_forged_fin_length () =
+  let payload = Lazy.force mcf_payload in
+  let cfg = small_config "stream-forged-fin" in
+  let cold = Engarde.Provision.run ~channel:`Streaming cfg ~payload in
+  accepted_outcome "cold" cold;
+  let ticket = Option.get cold.Engarde.Provision.ticket in
+  let run total_len =
+    let keys = ref None in
+    let tamper = function
+      | Channel.Wire.Resume { nonce; _ } as m ->
+          let secret = Channel.Record.zero_rtt_secret ~resumption:(snd ticket) ~nonce in
+          keys := Some (Channel.Record.reader ~secret, Channel.Record.writer ~secret);
+          m
+      | Channel.Wire.Record { epoch; rn; ciphertext; tag } -> (
+          let reader, writer = Option.get !keys in
+          match Channel.Record.read reader ~epoch ~rn ~ciphertext ~tag with
+          | Channel.Record.Accept (Channel.Record.Fin { digest; _ }) ->
+              Channel.Record.seal writer (Channel.Record.Fin { total_len; digest })
+          | Channel.Record.Accept pt -> Channel.Record.seal writer pt
+          | _ -> Alcotest.failf "record %d did not open under the 0-RTT keys" rn)
+      | m -> m
+    in
+    let before = Gc.allocated_bytes () in
+    let o = Engarde.Provision.run ~channel:`Streaming ~tamper ~resume:ticket cfg ~payload in
+    (o, Gc.allocated_bytes () -. before)
+  in
+  let honest, honest_bytes = run (String.length payload) in
+  accepted_outcome "honest length, re-sealed" honest;
+  Alcotest.(check bool) "re-sealed run resumed" true (stats "honest" honest).Engarde.Provision.resumed;
+  List.iter
+    (fun total_len ->
+      let o, bytes = run total_len in
+      (match o.Engarde.Provision.result with
+      | Error (Engarde.Provision.Transfer_tampered _) -> ()
+      | r -> Alcotest.failf "Fin length %d: %s" total_len (result_shape r));
+      if Float.abs (bytes -. honest_bytes) >= 0.1 *. honest_bytes then
+        Alcotest.failf "Fin length %d allocated %.0f MB against %.0f MB honestly" total_len
+          (bytes /. 1e6) (honest_bytes /. 1e6))
+    [ 1000; 4_000_000; 0xffff_ffff ]
+
 (* ------------------------------------------------------------------ *)
 (* Ticket sealing boundary                                             *)
 (* ------------------------------------------------------------------ *)
@@ -346,7 +385,6 @@ let cold_ticket () =
 let event_name = function
   | Engarde.Provision.Transfer_started -> "transfer-started"
   | Prefix_validated -> "prefix-validated"
-  | Speculative_hash { addr } -> Printf.sprintf "speculative-hash 0x%x" addr
   | Policy_phase -> "policy-phase"
 
 (* One flow's transcript: a line per message a pass-through adversary
@@ -380,9 +418,9 @@ let transcript ?(rewrite = Fun.id) ?mode ?resume ?ticket_epoch channel =
         (match o.Engarde.Provision.channel_stats with
         | None -> "no channel stats"
         | Some s ->
-            Printf.sprintf "records %d bytes %d peak %d epochs %d resumed %b fallback %b spec %d/%d"
+            Printf.sprintf "records %d bytes %d peak %d epochs %d resumed %b fallback %b"
               s.Engarde.Provision.records s.record_bytes s.in_flight_peak s.epoch_updates s.resumed
-              s.fallback s.spec_adopted s.spec_hashes);
+              s.fallback);
         Option.fold ~none:"no ticket" ~some:(fun (b, s) -> hex (b ^ s)) o.Engarde.Provision.ticket;
         String.concat "," (List.map (fun (p, c) -> Printf.sprintf "%s=%d" p c) (phase_cycles o));
       ]
@@ -416,31 +454,30 @@ let transcript_cases =
        code-block*3, transfer-done, policy-accept, @policy-phase, verdict: accepted" );
     ( "streaming cold",
       (fun () -> transcript `Streaming),
-      "7507181e4c0af2ae1d121a1f9ffa82967eff179945878c95a43f8cd0967de5a9",
+      "ee78d94055b93c98af806bb183d69e8d75320b789687f164e0cd7bbe3eb51e4a",
       "client-hello, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
-       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
-       verdict: accepted, session-ticket" );
+       @transfer-started, record, @prefix-validated, record*3, @policy-phase, verdict: accepted, \
+       session-ticket" );
     ( "0-RTT accepted",
       (fun () -> transcript ~resume:(cold_ticket ()) `Streaming),
-      "7c7b26216d446108bcae892f90ea75fa177a8dd3500bc43bf8b9a787b9d3b5b5",
-      "resume, resume-accept, policy-accept, @transfer-started, record*2, @prefix-validated, \
-       record*3, @speculative-hash, @policy-phase, verdict: accepted, session-ticket" );
+      "1d73b727043e01ce167ee297c92829f1613ca6fc89c337fd075058f9b085e646",
+      "resume, resume-accept, policy-accept, @transfer-started, record, @prefix-validated, \
+       record*3, @policy-phase, verdict: accepted, session-ticket" );
     ( "0-RTT fallback on a stale epoch",
       (fun () -> transcript ~resume:(cold_ticket ()) ~ticket_epoch:1 `Streaming),
-      "2b211772029061cd6adc8b3405b2226050d093b02c43991db2d308b2b9453b90",
+      "d5ee8cb7c1baa0a5f6dd97704b795f5b9b6490295775f701e2a9f157b43061cf",
       "resume, record*4, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
-       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
-       verdict: accepted, session-ticket" );
+       @transfer-started, record, @prefix-validated, record*3, @policy-phase, verdict: accepted, \
+       session-ticket" );
     ( "tampered quote",
       (fun () -> transcript ~rewrite:flip_quote_byte `Streaming),
       "ad9dfe149462f13b9ca3a97197560f7d969e32891432117038ebb8cddf9dc524",
       "client-hello, quote-response" );
     ( "policy rejection",
       (fun () -> transcript ~mode:`Flow `Streaming),
-      "1b79478e28444674800ff547e1dfc123b1214add26c9ba4fc5d5700311e95881",
+      "d05bb15cc895c1fb3d78ebcd02cbe8aab3f520ecc6abd3d8af38dcf767f747cb",
       "client-hello, quote-response, wrapped-key, policy-offer (1 programs), policy-accept, \
-       @transfer-started, record*2, @prefix-validated, record*3, @speculative-hash, @policy-phase, \
-       verdict: rejected" );
+       @transfer-started, record, @prefix-validated, record*3, @policy-phase, verdict: rejected" );
   ]
 
 let transcript_test (name, run, digest, kinds) =
@@ -583,6 +620,7 @@ let () =
           Alcotest.test_case "stale epoch falls back" `Slow zero_rtt_stale_epoch;
           Alcotest.test_case "measurement mismatch falls back" `Slow zero_rtt_measurement_mismatch;
           Alcotest.test_case "tampered ticket falls back" `Slow zero_rtt_tampered_ticket;
+          Alcotest.test_case "forged Fin length" `Slow zero_rtt_forged_fin_length;
         ] );
       ( "transcript",
         List.map transcript_test transcript_cases
