@@ -57,12 +57,11 @@ policy-oracle:
 bench-json:
 	dune exec bench/main.exe -- --scaling
 
-# One profiler-wrapped parallel batch through the work-stealing pool.
-# Uses `perf stat` when the box has it (cycles, context switches, the
-# real contention signal) and falls back to `/usr/bin/time -v`
-# (voluntary/involuntary switches) elsewhere; either way the benchmark
-# itself prints the pool's own pool_steals_total / pool_parks_total
-# lock-contention summary.
+# One profiler-wrapped parallel batch through the domain pool. Uses
+# `perf stat` when the box has it (cycles, context switches, the real
+# contention signal) and falls back to `/usr/bin/time -v`
+# (voluntary/involuntary switches) elsewhere; the benchmark itself
+# prints the batch's wall time and throughput.
 profile: build
 	@if command -v perf >/dev/null 2>&1; then \
 	  perf stat -- dune exec bench/main.exe -- --profile; \

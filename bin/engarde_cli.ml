@@ -696,18 +696,13 @@ let check_pool_args ~workers ~queue =
     exit 2
   end
 
-let service_config ?(audit = false) ?(legacy = false) ?(shards = 1) ~workers ~queue ~no_cache
-    ~fast ~timeout () =
-  if shards <= 0 then begin
-    prerr_endline "engarde: --cache-shards must be positive";
-    exit 2
-  end;
+let service_config ?(audit = false) ?(legacy = false) ~workers ~queue ~no_cache ~fast
+    ~timeout () =
   {
     Service.Scheduler.default_config with
     Service.Scheduler.workers;
     queue_capacity = queue;
     cache = (if no_cache then `Disabled else Service.Scheduler.default_config.Service.Scheduler.cache);
-    cache_shards = shards;
     audit;
     timeout_cycles = timeout;
     provision =
@@ -804,14 +799,6 @@ let queue_arg =
     value & opt int 64
     & info [ "queue-capacity" ] ~docv:"N"
         ~doc:"Job queue capacity (submissions beyond it are rejected).")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "cache-shards" ] ~docv:"N"
-        ~doc:
-          "Lock stripes of the verdict cache. Striping never changes hit/miss \
-           outcomes; the metrics report gains per-shard splits when > 1.")
 
 let no_cache_arg =
   Arg.(
@@ -916,7 +903,7 @@ let batch_cmd =
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Submit the whole job list N times (duplicate-heavy workloads).")
   in
-  let run benches elfs variant repeat workers queue shards domains no_cache fast timeout
+  let run benches elfs variant repeat workers queue domains no_cache fast timeout
       policy_names policy_files audit_on state metrics_out device_seed legacy =
     check_pool_args ~workers ~queue;
     if benches = [] && elfs = [] then begin
@@ -955,7 +942,7 @@ let batch_cmd =
     let audit = audit_on || state <> None in
     let config =
       {
-        (service_config ~audit ~legacy ~shards ~workers ~queue ~no_cache ~fast ~timeout ()) with
+        (service_config ~audit ~legacy ~workers ~queue ~no_cache ~fast ~timeout ()) with
         Service.Scheduler.programs = policy_files;
       }
     in
@@ -1013,7 +1000,7 @@ let batch_cmd =
           verdict cache, audit log) and print per-job verdicts plus service metrics.")
     Term.(
       const run $ bench_jobs_arg $ elf_jobs_arg $ variant $ repeat $ workers_arg
-      $ queue_arg $ shards_arg $ domains_arg $ no_cache_arg $ fast_arg $ timeout_arg
+      $ queue_arg $ domains_arg $ no_cache_arg $ fast_arg $ timeout_arg
       $ policy_arg $ policy_file_arg $ audit_flag_arg $ state_arg $ metrics_out_arg
       $ device_seed_arg $ legacy_channel_arg)
 
@@ -1139,7 +1126,7 @@ let fleet_cmd =
       & info [ "variant" ] ~docv:"VARIANT"
           ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc.")
   in
-  let run benches elfs variant repeat nodes workers queue shards fast timeout policy_names
+  let run benches elfs variant repeat nodes workers queue fast timeout policy_names
       metrics_out =
     check_pool_args ~workers ~queue;
     if nodes <= 0 then begin
@@ -1179,7 +1166,7 @@ let fleet_cmd =
     in
     let jobs = List.concat (List.init repeat (fun _ -> one_round)) in
     let node_config =
-      service_config ~audit:true ~shards ~workers ~queue ~no_cache:false ~fast ~timeout ()
+      service_config ~audit:true ~workers ~queue ~no_cache:false ~fast ~timeout ()
     in
     let cfg = { Fleet.Coordinator.default_config with Fleet.Coordinator.nodes; node_config } in
     Printf.printf "fleet: %d node(s), %d job(s), %d workers/node\n" nodes (List.length jobs)
@@ -1264,7 +1251,7 @@ let fleet_cmd =
           inclusion proof.")
     Term.(
       const run $ bench_jobs_arg $ elf_jobs_arg $ variant $ repeat $ nodes_arg
-      $ workers_arg $ queue_arg $ shards_arg $ fast_arg $ timeout_arg $ policy_arg
+      $ workers_arg $ queue_arg $ fast_arg $ timeout_arg $ policy_arg
       $ metrics_out_arg)
 
 (* --- audit: checkpoint / prove / verify ---------------------------

@@ -31,12 +31,8 @@ type t = {
   tables : (int * int) array;
   branch_targets : int array;
   hashes : (int, string) Hashtbl.t;
-  precomputed : (int, string * int) Hashtbl.t;
   mutable build_cycles : int;
 }
-
-type hash_task = unit -> (int * (string * int)) list
-type hash_runner = hash_task list -> (int * (string * int)) list list
 
 (* The one padding predicate shared by the indirect-call window scan,
    the CFG leader scan, and the lint policy. Covers every NOP encoding
@@ -166,7 +162,6 @@ let build perf (b : Disasm.buffer) symbols =
       tables = Array.of_list (List.rev !tables);
       branch_targets = Array.of_list (List.sort_uniq compare !branch_targets);
       hashes = Hashtbl.create 64;
-      precomputed = Hashtbl.create 64;
       build_cycles = 0;
     }
   in
@@ -247,11 +242,7 @@ let absorb h (code : Decoder.src) ~pos ~len =
   | Decoder.Str s -> Crypto.Sha256.update_sub h s ~pos ~len
   | Decoder.Big b -> Crypto.Sha256.update_big_sub h b ~pos ~len
 
-(* Digest plus the modelled cycles the sequential policy would charge
-   for computing it — the cost is carried alongside so a digest computed
-   off-thread (prehash) can be charged identically, later, on the
-   inspecting thread. Pure w.r.t. [t]: only reads the buffer/symbols. *)
-let hash_and_cost t ~addr =
+let function_hash_unmemoized t ~perf ~addr =
   let b = t.buffer in
   let stop =
     match Symhash.function_end t.symbols addr with
@@ -278,14 +269,8 @@ let hash_and_cost t ~addr =
         end
       in
       go i0;
-      Some (Crypto.Sha256.hex (Crypto.Sha256.finalize h), !cost)
-
-let function_hash_unmemoized t ~perf ~addr =
-  match hash_and_cost t ~addr with
-  | None -> None
-  | Some (hex, cost) ->
-      Sgx.Perf.count_cycles perf cost;
-      Some hex
+      Sgx.Perf.count_cycles perf !cost;
+      Some (Crypto.Sha256.hex (Crypto.Sha256.finalize h))
 
 let function_hash t ~perf ~addr =
   match Hashtbl.find_opt t.hashes addr with
@@ -293,126 +278,8 @@ let function_hash t ~perf ~addr =
       Sgx.Perf.count_cycles perf Costmodel.hash_memo_lookup;
       Some hex
   | None -> (
-      (* A prehashed digest is charged exactly what computing it now
-         would cost: prehash is a wall-clock optimization and must be
-         invisible to the modelled-cycle accounting. *)
-      match Hashtbl.find_opt t.precomputed addr with
-      | Some (hex, cost) ->
-          Sgx.Perf.count_cycles perf cost;
+      match function_hash_unmemoized t ~perf ~addr with
+      | Some hex ->
           Hashtbl.replace t.hashes addr hex;
           Some hex
-      | None -> (
-          match function_hash_unmemoized t ~perf ~addr with
-          | Some hex ->
-              Hashtbl.replace t.hashes addr hex;
-              Some hex
-          | None -> None))
-
-(* --- parallel prehash --------------------------------------------- *)
-
-(* The functions whose digests an inspection can ask for: targets of
-   direct calls that resolve to a known function start (exactly the
-   candidates the library-linking policy hashes, before its db
-   filter). *)
-let hash_candidates t =
-  let addrs = Hashtbl.create 64 in
-  Array.iter
-    (fun (dc : direct_call) ->
-      if dc.dc_name <> None && not (Hashtbl.mem addrs dc.dc_target) then
-        Hashtbl.replace addrs dc.dc_target ())
-    t.direct_calls;
-  Hashtbl.fold (fun addr () acc -> addr :: acc) addrs []
-  |> List.sort compare
-
-let chunk n xs =
-  let rec go i cur acc = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if i = n then go 1 [ x ] (List.rev cur :: acc) rest
-        else go (i + 1) (x :: cur) acc rest
-  in
-  go 0 [] [] xs
-
-(* When a function's decoded entries tile [addr, fn_end) back-to-back,
-   the entry-wise streamed SHA-256 equals the SHA-256 of the raw byte
-   slice, so the digest may be computed from the contiguous slice (and
-   batched). Returns the slice as a buffer offset/length plus the
-   carried cost from the same entry walk [hash_and_cost] performs, so
-   charging stays bit-identical to the one-shot path. *)
-let tiled_slice t ~addr =
-  let b = t.buffer in
-  let stop =
-    match Symhash.function_end t.symbols addr with
-    | Some e -> e
-    | None -> b.Disasm.base + Disasm.code_length b.Disasm.code
-  in
-  match Disasm.index_of_addr b addr with
-  | None -> None
-  | Some i0 ->
-      let n = Array.length b.Disasm.entries in
-      let rec go i next cost =
-        if i >= n then Some (next, cost)
-        else begin
-          let e = b.Disasm.entries.(i) in
-          if e.Disasm.addr >= stop then Some (next, cost)
-          else if e.Disasm.addr <> next then None
-          else
-            go (i + 1)
-              (e.Disasm.addr + e.Disasm.len)
-              (cost + Costmodel.hash_per_insn + (Costmodel.hash_per_byte * e.Disasm.len))
-        end
-      in
-      (match go i0 addr Costmodel.hash_finalize with
-      | Some (next, cost) when next = stop ->
-          Some (addr - b.Disasm.base, stop - addr, cost)
-      | Some _ | None -> None)
-
-(* [hash_and_cost] mapped over a batch: functions whose bodies are
-   contiguous in the buffer go through the multi-buffer
-   [Sha256.digest_many] sweep (4–8 bodies per pass); the rest fall back
-   to the streamed entry walk. Digests and costs are bit-identical to
-   the scalar path either way. *)
-let hash_many t addrs =
-  let classified =
-    List.map
-      (fun addr ->
-        match tiled_slice t ~addr with
-        | Some (pos, len, cost) -> `Tiled (addr, pos, len, cost)
-        | None -> `Plain addr)
-      addrs
-  in
-  let tiled = List.filter_map (function `Tiled x -> Some x | `Plain _ -> None) classified in
-  let code = t.buffer.Disasm.code in
-  let bodies = List.map (fun (_, pos, len, _) -> Disasm.code_sub code ~pos ~len) tiled in
-  let batched = Hashtbl.create (2 * List.length tiled) in
-  List.iter2
-    (fun (addr, _, _, cost) dg ->
-      Hashtbl.replace batched addr (Crypto.Sha256.hex dg, cost))
-    tiled
-    (Crypto.Sha256.digest_many bodies);
-  List.filter_map
-    (function
-      | `Tiled (addr, _, _, _) ->
-          Option.map (fun hc -> (addr, hc)) (Hashtbl.find_opt batched addr)
-      | `Plain addr -> Option.map (fun hc -> (addr, hc)) (hash_and_cost t ~addr))
-    classified
-
-let prehash ?(tasks = 8) ?(threshold = 16) ~run_all t =
-  let candidates =
-    List.filter
-      (fun a -> (not (Hashtbl.mem t.hashes a)) && not (Hashtbl.mem t.precomputed a))
-      (hash_candidates t)
-  in
-  let n = List.length candidates in
-  if n >= threshold then begin
-    let per_task = max 1 ((n + tasks - 1) / tasks) in
-    let work =
-      List.map (fun addrs () -> hash_many t addrs) (chunk per_task candidates)
-    in
-    (* Tasks only read [t]; the merge back into the store happens here,
-       on the calling thread, so the index's tables are never mutated
-       concurrently. *)
-    List.iter
-      (List.iter (fun (addr, hc) -> Hashtbl.replace t.precomputed addr hc))
-      (run_all work)
-  end
+      | None -> None)

@@ -67,13 +67,6 @@ type t = {
   hashes : (int, string) Hashtbl.t;
       (** the shared function-hash store: function start vaddr ->
           lowercase SHA-256 hex (use {!function_hash}) *)
-  precomputed : (int, string * int) Hashtbl.t;
-      (** digests computed ahead of demand by {!prehash}, paired with
-          the modelled cycles a sequential computation would have
-          charged. {!function_hash} promotes an entry into
-          {!field-hashes} on first use, charging the recorded cost —
-          so modelled cycles are identical whether or not a prehash
-          ran *)
   mutable build_cycles : int;
       (** modelled cycles charged by {!build} — the amortized index
           cost, reported separately from per-policy work *)
@@ -125,24 +118,3 @@ val function_hash : t -> perf:Sgx.Perf.t -> addr:int -> string option
 val function_hash_unmemoized : t -> perf:Sgx.Perf.t -> addr:int -> string option
 (** Always recompute and charge, never consult or fill the store — the
     paper's per-call-site behaviour, kept as the ablation baseline. *)
-
-type hash_task = unit -> (int * (string * int)) list
-(** A chunk of prehash work: computes [(addr, (digest, cost))] for its
-    share of the candidate functions. Pure reads of the index — safe to
-    run on any domain. *)
-
-type hash_runner = hash_task list -> (int * (string * int)) list list
-(** How {!prehash} executes its chunks. [Service.Pool.run_all pool]
-    gives a parallel runner; [List.map (fun f -> f ())] is the
-    sequential equivalent (same results by construction). *)
-
-val prehash : ?tasks:int -> ?threshold:int -> run_all:hash_runner -> t -> unit
-(** Hash every not-yet-memoized function that a direct call resolves to
-    (the library-linking policy's candidate set), fanning the work out
-    as [tasks] chunks (default 8) through [run_all]. Does nothing when
-    fewer than [threshold] candidates remain (default 16) — below that
-    the fan-out overhead beats the win. Charges NO cycles: results land
-    in {!field-precomputed} and are charged at first {!function_hash}
-    use, so the modelled-cost accounting (and therefore verdicts, audit
-    leaves, and timeout decisions) is bit-identical to a sequential
-    run. Wall-clock time is the only observable difference. *)

@@ -30,9 +30,6 @@ val index_of_addr : buffer -> int -> int option
 val code_length : X86.Decoder.src -> int
 val code_get : X86.Decoder.src -> int -> char
 
-val code_sub : X86.Decoder.src -> pos:int -> len:int -> string
-(** Copying slice of the code bytes (for small ranges). *)
-
 val bytes_between : buffer -> lo:int -> hi:int -> string
 (** Raw code bytes for the vaddr range [lo, hi). *)
 

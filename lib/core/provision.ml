@@ -251,7 +251,7 @@ type staged = {
    The declared length is checked against the staged extent before
    anything reads staging, so a forged trailer can neither size the
    read nor pass for a fault in the binary. *)
-let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event
+let inspect c ~report ~enclave ~host ~policies ~on_event
     { total_len; digest; received; _ } =
   if total_len <> received then tampered "missing blocks";
   let file = Sgx.Enclave.read enclave ~vaddr:(staging_base c) ~len:total_len in
@@ -294,12 +294,6 @@ let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event
       ~callgraph_perf:report.Report.callgraph ~summary_perf:report.Report.summary
       ~perf:report.Report.policy buffer symbols
   in
-  (* Warm the function-hash store in parallel before the policies run.
-     Uncharged — see [Analysis.prehash] — so the modelled-cycle
-     accounting below is unchanged. *)
-  (match hash_runner with
-  | None -> ()
-  | Some run_all -> Analysis.prehash ~run_all ctx.Policy.index);
   on_event Policy_phase;
   let policy_results = Policy.run_all ctx policies in
   if not (Policy.all_compliant policy_results) then
@@ -334,7 +328,7 @@ type session = {
   confirmed : Channel.Wire.t list -> bool;  (* the client's check that 0-RTT was accepted *)
 }
 
-let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
+let run ?tamper ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
     ?(ticket_epoch = 0) ?(on_event = fun (_ : pipeline_event) -> ()) c ~payload =
   let report = Report.create () in
   let epc = Sgx.Epc.create ~pages:c.epc_pages ~seed:(c.seed ^ "/epc") () in
@@ -549,7 +543,7 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
   let judge s =
     match
       let staged = ingest s in
-      let judged = inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event staged in
+      let judged = inspect c ~report ~enclave ~host ~policies ~on_event staged in
       chan_stats := staged.stats;
       judged
     with

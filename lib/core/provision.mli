@@ -146,7 +146,6 @@ end
 
 val run :
   ?tamper:(Channel.Wire.t -> Channel.Wire.t) ->
-  ?hash_runner:Analysis.hash_runner ->
   ?policies:(Policy.t list) ->
   ?programs:(string * string) list ->
   ?channel:channel ->
@@ -162,10 +161,6 @@ val run :
     [programs] is what the client offers in the negotiation step; when
     [config.policy_digest] is non-empty the enclave requires an offer
     hashing to exactly that digest before accepting any code.
-    [hash_runner] (e.g. a domain pool's [run_all]) lets the inspection
-    prehash candidate function digests in parallel before the policies
-    run; it never changes verdicts or modelled cycles, only wall-clock
-    time.
 
     [channel] defaults to [`Legacy] (the paper-faithful block
     transfer). [`Streaming] carries the payload as EGREC1 records with

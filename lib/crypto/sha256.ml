@@ -263,48 +263,6 @@ let digest s =
   update ctx s;
   finalize ctx
 
-(* Multi-buffer hashing: up to [max_lanes] messages advance one block
-   per sweep, the interleaving real SIMD multi-buffer SHA-256 performs
-   across vector lanes. Each lane still runs the standard compression
-   on its own chaining state, so digests are bit-identical to [digest];
-   the win is the shared schedule-array locality and the blit-free
-   block loads of [compress_string]. *)
-let max_lanes = 8
-
-let digest_group msgs =
-  let n = Array.length msgs in
-  let ctxs = Array.init n (fun _ -> init ()) in
-  let full = Array.map (fun s -> String.length s / 64) msgs in
-  let max_full = Array.fold_left max 0 full in
-  for blk = 0 to max_full - 1 do
-    let off = blk * 64 in
-    for lane = 0 to n - 1 do
-      if blk < full.(lane) then compress_string ctxs.(lane) msgs.(lane) off
-    done
-  done;
-  Array.mapi
-    (fun lane s ->
-      let ctx = ctxs.(lane) in
-      let consumed = 64 * full.(lane) in
-      ctx.total <- Int64.of_int consumed;
-      update_sub ctx s ~pos:consumed ~len:(String.length s - consumed);
-      finalize ctx)
-    msgs
-
-let digest_many msgs =
-  let msgs = Array.of_list msgs in
-  let n = Array.length msgs in
-  let out = Array.make n "" in
-  let pos = ref 0 in
-  while !pos < n do
-    let lanes = min max_lanes (n - !pos) in
-    let group = Array.sub msgs !pos lanes in
-    let digests = digest_group group in
-    Array.blit digests 0 out !pos lanes;
-    pos := !pos + lanes
-  done;
-  Array.to_list out
-
 let hex s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;

@@ -44,11 +44,6 @@ val import_state : string -> ctx option
 val digest : string -> string
 (** One-shot hash of a full string; 32 raw bytes. *)
 
-val digest_many : string list -> string list
-(** Hash a batch, interleaving compressions over 4–8 messages per sweep
-    (multi-buffer style). Digests are bit-identical to mapping {!digest}
-    over the list, in the same order. *)
-
 val hex : string -> string
 (** Lowercase hex encoding of arbitrary bytes (used to print digests). *)
 

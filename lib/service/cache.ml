@@ -90,16 +90,9 @@ let decode_verdict s =
 type stats = { hits : int; misses : int; evictions : int; size : int; capacity : int }
 
 let key ~payload ~policy_names ~libc_db_version ~programs_digest =
-  (* The two independent inner digests (multi-MB payload + policy-set
-     fingerprint) ride one multi-buffer sweep; bit-identical to nested
-     [digest] calls (see [Sha256.digest_many]). *)
-  let payload_digest, fingerprint =
-    match
-      Crypto.Sha256.digest_many
-        [ payload; String.concat "," (List.sort_uniq compare policy_names) ]
-    with
-    | [ p; f ] -> (p, f)
-    | _ -> assert false
+  let payload_digest = Crypto.Sha256.digest payload in
+  let fingerprint =
+    Crypto.Sha256.digest (String.concat "," (List.sort_uniq compare policy_names))
   in
   (* The program digest and the DSL format version both go in: a
      renegotiated program set, or the same set under an incompatible
@@ -110,10 +103,7 @@ let key ~payload ~policy_names ~libc_db_version ~programs_digest =
    ^ "\x00" ^ Policyvm.Encode.format_tag ^ "\x00" ^ programs_digest)
 
 (* Doubly-linked LRU list threaded through the hash table's nodes:
-   head = most recently used, tail = next eviction victim. Each shard
-   is a complete single-lock LRU cache; the striped cache below routes
-   keys onto shards by hash, so shards never share state and a shard's
-   mutex is the only synchronization a lookup needs. *)
+   head = most recently used, tail = next eviction victim. *)
 type node = {
   nkey : string;
   mutable value : verdict;
@@ -121,11 +111,8 @@ type node = {
   mutable next : node option;  (* towards tail *)
 }
 
-type shard = {
+type t = {
   lock : Mutex.t;
-  pad : Bytes.t;
-      (* spacer so adjacent shards' locks and hit/miss fields don't
-         share a cache line (false-sharing hygiene for striped access) *)
   capacity : int;
   table : (string, node) Hashtbl.t;
   mutable head : node option;
@@ -135,14 +122,10 @@ type shard = {
   mutable evictions : int;
 }
 
-type t = { shards : shard array }
-
-let make_shard ~capacity =
-  let lock = Mutex.create () in
-  let pad = Bytes.create 64 in
+let create ~capacity =
+  if capacity <= 0 then invalid_arg "Service.Cache.create: capacity must be positive";
   {
-    lock;
-    pad;
+    lock = Mutex.create ();
     capacity;
     table = Hashtbl.create (min capacity 64);
     head = None;
@@ -152,106 +135,67 @@ let make_shard ~capacity =
     evictions = 0;
   }
 
-let sharded ~shards ~capacity =
-  if shards <= 0 then invalid_arg "Service.Cache.sharded: shards must be positive";
-  if capacity <= 0 then invalid_arg "Service.Cache.sharded: capacity must be positive";
-  (* Distribute the budget; every shard holds at least one entry, so a
-     tiny capacity with many shards rounds the total up rather than
-     creating dead shards. *)
-  let base = capacity / shards and extra = capacity mod shards in
-  let shard_cap i = max 1 (base + if i < extra then 1 else 0) in
-  { shards = Array.init shards (fun i -> make_shard ~capacity:(shard_cap i)) }
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Service.Cache.create: capacity must be positive";
-  sharded ~shards:1 ~capacity
-
-let shard_count t = Array.length t.shards
-
-let shard_of t k = t.shards.(Hashtbl.hash k mod Array.length t.shards)
-
-let locked s f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-let unlink s n =
-  (match n.prev with Some p -> p.next <- n.next | None -> s.head <- n.next);
-  (match n.next with Some x -> x.prev <- n.prev | None -> s.tail <- n.prev);
+let unlink t n =
+  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
+  (match n.next with Some x -> x.prev <- n.prev | None -> t.tail <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front s n =
-  n.next <- s.head;
-  (match s.head with Some h -> h.prev <- Some n | None -> s.tail <- Some n);
-  s.head <- Some n
+let push_front t n =
+  n.next <- t.head;
+  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
+  t.head <- Some n
 
-let touch s n =
-  unlink s n;
-  push_front s n
+let touch t n =
+  unlink t n;
+  push_front t n
 
 let find t k =
-  let s = shard_of t k in
-  locked s (fun () ->
-      match Hashtbl.find_opt s.table k with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table k with
       | Some n ->
-          s.hits <- s.hits + 1;
-          touch s n;
+          t.hits <- t.hits + 1;
+          touch t n;
           Some n.value
       | None ->
-          s.misses <- s.misses + 1;
+          t.misses <- t.misses + 1;
           None)
 
-let mem t k =
-  let s = shard_of t k in
-  locked s (fun () -> Hashtbl.mem s.table k)
+let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
 
-let evict_lru s =
-  match s.tail with
+let evict_lru t =
+  match t.tail with
   | None -> ()
   | Some victim ->
-      unlink s victim;
-      Hashtbl.remove s.table victim.nkey;
-      s.evictions <- s.evictions + 1
+      unlink t victim;
+      Hashtbl.remove t.table victim.nkey;
+      t.evictions <- t.evictions + 1
 
 let add t k v =
-  let s = shard_of t k in
-  locked s (fun () ->
-      match Hashtbl.find_opt s.table k with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table k with
       | Some n ->
           n.value <- v;
-          touch s n
+          touch t n
       | None ->
-          if Hashtbl.length s.table >= s.capacity then evict_lru s;
+          if Hashtbl.length t.table >= t.capacity then evict_lru t;
           let n = { nkey = k; value = v; prev = None; next = None } in
-          Hashtbl.replace s.table k n;
-          push_front s n)
-
-let shard_stats t =
-  Array.map
-    (fun s ->
-      locked s (fun () ->
-          {
-            hits = s.hits;
-            misses = s.misses;
-            evictions = s.evictions;
-            size = Hashtbl.length s.table;
-            capacity = s.capacity;
-          }))
-    t.shards
+          Hashtbl.replace t.table k n;
+          push_front t n)
 
 let stats t =
-  Array.fold_left
-    (fun (acc : stats) s ->
-      locked s (fun () ->
-          {
-            hits = acc.hits + s.hits;
-            misses = acc.misses + s.misses;
-            evictions = acc.evictions + s.evictions;
-            size = acc.size + Hashtbl.length s.table;
-            capacity = acc.capacity + s.capacity;
-          }))
-    { hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
-    t.shards
+  locked t (fun () ->
+      {
+        hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        size = Hashtbl.length t.table;
+        capacity = t.capacity;
+      })
 
 (* --- persistence (warm restart) ----------------------------------- *)
 
@@ -265,33 +209,22 @@ let u32_be n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff
 let export t =
   let b = Buffer.create 1024 in
   Buffer.add_string b export_magic;
-  let total =
-    Array.fold_left
-      (fun acc s -> locked s (fun () -> acc + Hashtbl.length s.table))
-      0 t.shards
-  in
-  Buffer.add_string b (u32_be total);
-  (* Tail (LRU) first within each shard: replaying [add] in this order
-     reproduces each shard's recency ordering exactly (keys re-route to
-     the same shard when the importer has the same shard count), and a
-     smaller-capacity importer keeps the most recently used entries.
-     The blob format is the same EGCACHE2 stream regardless of shard
-     count, so single-lock and striped caches interchange state. *)
-  Array.iter
-    (fun s ->
-      locked s (fun () ->
-          let rec walk = function
-            | None -> ()
-            | Some n ->
-                let v = encode_verdict n.value in
-                Buffer.add_string b (u32_be (String.length n.nkey));
-                Buffer.add_string b n.nkey;
-                Buffer.add_string b (u32_be (String.length v));
-                Buffer.add_string b v;
-                walk n.prev
-          in
-          walk s.tail))
-    t.shards;
+  locked t (fun () ->
+      Buffer.add_string b (u32_be (Hashtbl.length t.table));
+      (* Tail (LRU) first: replaying [add] in this order reproduces the
+         recency order exactly, and a smaller-capacity importer keeps
+         the most recently used entries. *)
+      let rec walk = function
+        | None -> ()
+        | Some n ->
+            let v = encode_verdict n.value in
+            Buffer.add_string b (u32_be (String.length n.nkey));
+            Buffer.add_string b n.nkey;
+            Buffer.add_string b (u32_be (String.length v));
+            Buffer.add_string b v;
+            walk n.prev
+      in
+      walk t.tail);
   Buffer.contents b
 
 let import t s =

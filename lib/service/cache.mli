@@ -12,13 +12,9 @@
     same binary fails the same policies for the same reason.
 
     Eviction is LRU over a fixed capacity; hits, misses and evictions
-    are counted for the metrics registry.
-
-    The cache is lock-striped for the parallel scheduler: keys route by
-    hash onto [shards] independent mutex-protected LRU shards, so
-    concurrent pipelines contend only when they touch the same stripe.
-    {!create} is the single-lock special case ([shards = 1]), under
-    which behaviour is exactly the classic global-LRU cache. *)
+    are counted for the metrics registry. Every operation runs under
+    the cache's one mutex. In the service only the scheduler thread
+    touches the cache — pipelines running on pool domains never do. *)
 
 type verdict = {
   accepted : bool;
@@ -75,16 +71,7 @@ val key :
 type t
 
 val create : capacity:int -> t
-(** A single-shard (single-lock, global-LRU) cache. [capacity] must be
-    positive. *)
-
-val sharded : shards:int -> capacity:int -> t
-(** A lock-striped cache: [capacity] entries distributed over [shards]
-    independent LRU shards (each at least 1 entry, so tiny capacities
-    round up). Keys select their shard by hash; eviction is LRU within
-    a shard. [sharded ~shards:1] is exactly {!create}. *)
-
-val shard_count : t -> int
+(** An empty LRU cache. [capacity] must be positive. *)
 
 val find : t -> string -> verdict option
 (** Counts a hit or a miss; a hit moves the entry to most-recently-used. *)
@@ -98,19 +85,10 @@ val mem : t -> string -> bool
 
 val stats : t -> stats
 
-val shard_stats : t -> stats array
-(** Per-shard splits of {!stats}, in shard order (their field-wise sum
-    is exactly {!stats}). Lets the metrics report show whether striping
-    actually spreads load — and, in a fleet, which stripes the shared
-    verdicts land in. *)
-
 val export : t -> string
-(** Serialize every entry, least recently used first within each shard,
-    so that replaying {!add} on import reproduces the recency order
-    (exactly, when exporter and importer have the same shard count; per
-    stripe otherwise) and a smaller-capacity importer retains the
-    hottest entries. The blob format does not depend on the shard
-    count — single-lock and striped caches interchange state. Hit/miss
+(** Serialize every entry, least recently used first, so that replaying
+    {!add} on import reproduces the recency order exactly and a
+    smaller-capacity importer retains the hottest entries. Hit/miss
     counters are not part of the state. *)
 
 val import : t -> string -> (int, string) result

@@ -15,8 +15,7 @@ let latency_buckets =
   [| 1_000_000; 10_000_000; 100_000_000; 1_000_000_000; 10_000_000_000 |]
 
 (* Every counter is an [Atomic.t]: the registry is written from the
-   scheduler thread and read (rendered) from anywhere, and with the
-   parallel dispatch path pipelines may one day record directly. Atomics
+   scheduler thread and may be read (rendered) from anywhere. Atomics
    make each sample individually coherent; [render] is a point-in-time
    snapshot, not a transaction across samples — the usual Prometheus
    contract. *)
@@ -62,65 +61,28 @@ type t = {
   fleet_rejected_replay : int Atomic.t;
   fleet_rejected_quarantined : int Atomic.t;
   fleet_rejected_malformed : int Atomic.t;
-  pads : Bytes.t array;
-      (* keeps the cache-line spacers between hot counters alive *)
 }
 
-(* OCaml 5.1 has no [Atomic.make_contended] (5.2+), so hot counters are
-   spaced with a retained 64-byte spacer block allocated right after
-   each one. Minor-heap allocation is sequential and promotion is
-   order-preserving, so the spacer keeps two adjacent counters from
-   sharing a cache line — the false-sharing hygiene the work-stealing
-   pool's per-domain writers need. *)
-let contended pads v =
-  let a = Atomic.make v in
-  pads := Bytes.create 64 :: !pads;
-  a
-
 let create () =
-  let pads = ref [] in
-  let hot v = contended pads v in
-  (* Hot counters are bound in sequence (not inside the record literal,
-     whose field evaluation order is unspecified) so each spacer really
-     sits between consecutive counter allocations. *)
-  let submitted = hot 0 in
-  let rejected = hot 0 in
-  let completed = hot 0 in
-  let failed = hot 0 in
-  let retried = hot 0 in
-  let cache_hits = hot 0 in
-  let disassembly = hot 0 in
-  let policy = hot 0 in
-  let callgraph = hot 0 in
-  let summary = hot 0 in
-  let loading = hot 0 in
-  let provisioning = hot 0 in
-  let runs = hot 0 in
-  let buckets = Array.init (Array.length latency_buckets + 1) (fun _ -> hot 0) in
-  let latency_sum = hot 0 in
-  let latency_count = hot 0 in
-  let queue_depth = hot 0 in
-  let queue_depth_peak = hot 0 in
-  let pads = Array.of_list !pads in
   {
-    submitted;
-    rejected;
-    completed;
-    failed;
-    retried;
-    cache_hits;
-    disassembly;
-    policy;
-    callgraph;
-    summary;
-    loading;
-    provisioning;
-    runs;
-    buckets;
-    latency_sum;
-    latency_count;
-    queue_depth;
-    queue_depth_peak;
+    submitted = Atomic.make 0;
+    rejected = Atomic.make 0;
+    completed = Atomic.make 0;
+    failed = Atomic.make 0;
+    retried = Atomic.make 0;
+    cache_hits = Atomic.make 0;
+    disassembly = Atomic.make 0;
+    policy = Atomic.make 0;
+    callgraph = Atomic.make 0;
+    summary = Atomic.make 0;
+    loading = Atomic.make 0;
+    provisioning = Atomic.make 0;
+    runs = Atomic.make 0;
+    buckets = Array.init (Array.length latency_buckets + 1) (fun _ -> Atomic.make 0);
+    latency_sum = Atomic.make 0;
+    latency_count = Atomic.make 0;
+    queue_depth = Atomic.make 0;
+    queue_depth_peak = Atomic.make 0;
     audit_appends = Atomic.make 0;
     audit_checkpoints = Atomic.make 0;
     audit_log_size = Atomic.make 0;
@@ -141,7 +103,6 @@ let create () =
     fleet_rejected_replay = Atomic.make 0;
     fleet_rejected_quarantined = Atomic.make 0;
     fleet_rejected_malformed = Atomic.make 0;
-    pads;
   }
 
 let incr c = ignore (Atomic.fetch_and_add c 1)
@@ -258,15 +219,10 @@ let phase_totals t =
     provisioning = Atomic.get t.provisioning;
   }
 
-let render ?shards ?pool t ~queue ~cache =
+let render t ~queue ~cache =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "# engarde service metrics (cycles are modelled; see lib/sgx/perf.mli)";
-  (match pool with
-  | None -> ()
-  | Some (p : Pool.stats) ->
-      line "pool_steals_total %d" p.Pool.steals;
-      line "pool_parks_total %d" p.Pool.parks);
   line "jobs_submitted_total %d" (Atomic.get t.submitted);
   line "jobs_rejected_total %d" (Atomic.get t.rejected);
   line "jobs_completed_total %d" (Atomic.get t.completed);
@@ -286,19 +242,7 @@ let render ?shards ?pool t ~queue ~cache =
       line "cache_capacity %d" c.Cache.capacity;
       line "cache_hits_total %d" c.Cache.hits;
       line "cache_misses_total %d" c.Cache.misses;
-      line "cache_evictions_total %d" c.Cache.evictions;
-      (* Per-shard splits only when striping is actually in play — a
-         single-shard cache would just repeat the aggregates. *)
-      match shards with
-      | Some per when Array.length per > 1 ->
-          Array.iteri
-            (fun i (s : Cache.stats) ->
-              line "cache_shard_size{shard=\"%d\"} %d" i s.Cache.size;
-              line "cache_shard_hits_total{shard=\"%d\"} %d" i s.Cache.hits;
-              line "cache_shard_misses_total{shard=\"%d\"} %d" i s.Cache.misses;
-              line "cache_shard_evictions_total{shard=\"%d\"} %d" i s.Cache.evictions)
-            per
-      | _ -> ());
+      line "cache_evictions_total %d" c.Cache.evictions);
   line "ticket_stash_size %d" (Atomic.get t.ticket_stash_size);
   line "ticket_stash_evictions_total %d" (Atomic.get t.ticket_evictions);
   line "fleet_verdicts_pushed_total %d" (Atomic.get t.fleet_pushes);

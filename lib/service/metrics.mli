@@ -119,16 +119,6 @@ val fleet_rejections : t -> (fleet_reject * int) list
 val job_counts : t -> job_counts
 val phase_totals : t -> phase_totals
 
-val render :
-  ?shards:Cache.stats array ->
-  ?pool:Pool.stats ->
-  t ->
-  queue:Queue.stats ->
-  cache:Cache.stats option ->
-  string
+val render : t -> queue:Queue.stats -> cache:Cache.stats option -> string
 (** The scrapeable text report. [cache = None] renders the
-    cache-disabled configuration (no cache_* samples). [shards], when
-    given with more than one entry, adds per-shard
-    [cache_shard_*{shard="i"}] splits of the aggregate cache samples.
-    [pool], when given, adds the work-stealing pool's contention
-    counters ([pool_steals_total] / [pool_parks_total]). *)
+    cache-disabled configuration (no cache_* samples). *)

@@ -1,119 +1,8 @@
-(* Work-stealing pool. Each worker owns a Chase–Lev deque: the owner
-   pushes and pops LIFO at the bottom with plain atomic loads/stores,
-   idle workers steal FIFO from the top with one CAS. External
-   submitters (the scheduler thread) go through a small mutex-protected
-   injector queue; everything on the hot path — owner scheduling,
-   stealing, help-first claiming — is lock-free. Idle workers spin with
-   exponential backoff ([Domain.cpu_relax]) and then park on a
-   condition variable; submitters wake exactly one sleeper per task
-   (broadcast only for batches), so there is no thundering herd on a
-   global condvar as in the previous single-queue pool. *)
-
-(* A task cell lives on some deque (or the injector) until a thread —
-   a pool worker, or a help-first [run_all] caller — claims it with one
-   CAS on [taken]. Claim-then-run means a deque can still hand the cell
-   to a later popper; the flag makes the duplicate a no-op. *)
-type cell = { run : unit -> unit; taken : bool Atomic.t }
-
-(* Chase–Lev deque over a growable circular buffer. [top] only ever
-   increases; [grow] copies the live window [top, bottom) into the new
-   buffer at the same logical positions and never clears the old one,
-   so a thief holding a stale buffer still reads the correct value for
-   any position its CAS on [top] can win. *)
-module Deque = struct
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    mutable buf : 'a option array; (* resized by the owner only *)
-  }
-
-  let create () =
-    { top = Atomic.make 0; bottom = Atomic.make 0; buf = Array.make 256 None }
-
-  let is_empty q = Atomic.get q.bottom - Atomic.get q.top <= 0
-
-  let grow q t b =
-    let old = q.buf in
-    let n = Array.length old in
-    let nu = Array.make (2 * n) None in
-    for i = t to b - 1 do
-      nu.(i land ((2 * n) - 1)) <- old.(i land (n - 1))
-    done;
-    q.buf <- nu
-
-  (* Owner only. *)
-  let push q v =
-    let b = Atomic.get q.bottom and t = Atomic.get q.top in
-    if b - t >= Array.length q.buf then grow q t b;
-    q.buf.(b land (Array.length q.buf - 1)) <- Some v;
-    Atomic.set q.bottom (b + 1)
-
-  (* Owner only: LIFO end. The last element is raced against thieves
-     with a CAS on [top]. *)
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let buf = q.buf in
-      let v = buf.(b land (Array.length buf - 1)) in
-      if b > t then v
-      else begin
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then v else None
-      end
-    end
-
-  (* Any thief: FIFO end, one CAS. *)
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if b - t <= 0 then None
-    else begin
-      let buf = q.buf in
-      let v = buf.(t land (Array.length buf - 1)) in
-      if Atomic.compare_and_set q.top t (t + 1) then v else None
-    end
-end
-
-type t = {
-  id : int; (* distinguishes pools in the per-domain worker slot *)
-  size : int;
-  deques : cell Deque.t array;
-  inj_m : Mutex.t;
-  injector : cell Stdlib.Queue.t; (* external submissions *)
-  closed : bool Atomic.t;
-  park_m : Mutex.t;
-  park_c : Condition.t;
-  sleepers : int Atomic.t;
-  steals : int Atomic.t;
-  parks : int Atomic.t;
-  join_m : Mutex.t; (* protects [workers] for idempotent shutdown *)
-  mutable workers : unit Domain.t list; (* [] once joined *)
-}
-
-type stats = { steals : int; parks : int }
-
-let stats (t : t) = { steals = Atomic.get t.steals; parks = Atomic.get t.parks }
-let size (t : t) = t.size
-
-let pool_ids = Atomic.make 0
-
-(* Which pool/worker the current domain is, if any: lets a task running
-   on a worker push nested [run_all] batches straight onto its own
-   deque, no lock, no injector round-trip. *)
-let worker_slot : (int * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let my_index t =
-  match !(Domain.DLS.get worker_slot) with
-  | Some (id, ix) when id = t.id -> Some ix
-  | Some _ | None -> None
+(* Fixed-size domain pool over one shared FIFO. The scheduler thread is
+   the only producer and every task is a whole provisioning pipeline,
+   seconds long, so one mutex and one condition variable are all the
+   coordination the traffic needs: a lock round-trip per task is noise
+   against the task itself. *)
 
 type 'a state = Pending | Done of 'a | Failed of exn
 
@@ -123,11 +12,63 @@ type 'a future = {
   mutable st : 'a state;
 }
 
+type t = {
+  m : Mutex.t;
+  work : Condition.t;  (* signalled on submit, broadcast on shutdown *)
+  tasks : (unit -> unit) Stdlib.Queue.t;
+  mutable closed : bool;  (* read and written under [m] only *)
+  mutable workers : unit Domain.t list;  (* set once, by [create] *)
+}
+
+(* Take tasks until the pool is closed AND the queue is empty: queued
+   work always completes. Tasks never raise; [submit] wraps them. *)
+let rec worker t =
+  Mutex.lock t.m;
+  while Stdlib.Queue.is_empty t.tasks && not t.closed do
+    Condition.wait t.work t.m
+  done;
+  match Stdlib.Queue.take_opt t.tasks with
+  | None -> Mutex.unlock t.m
+  | Some task ->
+      Mutex.unlock t.m;
+      task ();
+      worker t
+
+let create ~domains =
+  if domains <= 0 then invalid_arg "Service.Pool.create: domains must be positive";
+  let t =
+    {
+      m = Mutex.create ();
+      work = Condition.create ();
+      tasks = Stdlib.Queue.create ();
+      closed = false;
+      workers = [];
+    }
+  in
+  t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker t));
+  t
+
 let resolve fut st =
   Mutex.lock fut.fm;
   fut.st <- st;
   Condition.broadcast fut.fc;
   Mutex.unlock fut.fm
+
+let submit t f =
+  let fut = { fm = Mutex.create (); fc = Condition.create (); st = Pending } in
+  let task () = resolve fut (match f () with v -> Done v | exception e -> Failed e) in
+  Mutex.lock t.m;
+  (* [closed] is read under the queue mutex, so a task is either refused
+     here or enqueued before [shutdown] closes the pool, and then run
+     before any worker exits. *)
+  if t.closed then begin
+    Mutex.unlock t.m;
+    invalid_arg "Service.Pool.submit: pool is shut down"
+  end;
+  Stdlib.Queue.add task t.tasks;
+  Condition.signal t.work;
+  Mutex.unlock t.m;
+  fut
 
 let await fut =
   Mutex.lock fut.fm;
@@ -136,202 +77,12 @@ let await fut =
   done;
   let st = fut.st in
   Mutex.unlock fut.fm;
-  match st with
-  | Done v -> v
-  | Failed e -> raise e
-  | Pending -> assert false
+  match st with Done v -> v | Failed e -> raise e | Pending -> assert false
 
-(* Is there anything anywhere a worker could run? Injector checked
-   under its mutex so the pre-park / pre-exit decision synchronizes
-   with batch submitters. *)
-let has_work t =
-  (let nonempty =
-     Mutex.lock t.inj_m;
-     let r = not (Stdlib.Queue.is_empty t.injector) in
-     Mutex.unlock t.inj_m;
-     r
-   in
-   nonempty)
-  || Array.exists (fun d -> not (Deque.is_empty d)) t.deques
-
-(* Wake sleepers after enqueueing work. [~all] broadcasts (batch
-   submission); otherwise one signal wakes one worker. *)
-let wake t ~all =
-  if Atomic.get t.sleepers > 0 then begin
-    Mutex.lock t.park_m;
-    if all then Condition.broadcast t.park_c else Condition.signal t.park_c;
-    Mutex.unlock t.park_m
-  end
-
-let try_injector t =
-  if Stdlib.Queue.is_empty t.injector then None
-  else begin
-    Mutex.lock t.inj_m;
-    let c =
-      if Stdlib.Queue.is_empty t.injector then None
-      else Some (Stdlib.Queue.pop t.injector)
-    in
-    Mutex.unlock t.inj_m;
-    c
-  end
-
-let steal_sweep t ix =
-  let n = t.size in
-  let rec go k =
-    if k >= n then None
-    else begin
-      let victim = (ix + k + n) mod n in
-      if victim = ix then go (k + 1)
-      else
-        match Deque.steal t.deques.(victim) with
-        | Some c ->
-            Atomic.incr t.steals;
-            Some c
-        | None -> go (k + 1)
-    end
-  in
-  go 0
-
-let find_work t ix =
-  match if ix >= 0 then Deque.pop t.deques.(ix) else None with
-  | Some c -> Some c
-  | None -> (
-      match try_injector t with
-      | Some c -> Some c
-      | None -> steal_sweep t ix)
-
-let run_cell c = if Atomic.compare_and_set c.taken false true then c.run ()
-
-(* Park protocol: increment [sleepers] and re-check for work while
-   holding [park_m]. A submitter enqueues first, then reads [sleepers]:
-   either it sees our increment and signals under the same mutex, or
-   our re-check sees its enqueue — a wakeup cannot be lost. *)
-let park t =
-  Mutex.lock t.park_m;
-  Atomic.incr t.sleepers;
-  if has_work t || Atomic.get t.closed then begin
-    Atomic.decr t.sleepers;
-    Mutex.unlock t.park_m
-  end
-  else begin
-    Atomic.incr t.parks;
-    Condition.wait t.park_c t.park_m;
-    Atomic.decr t.sleepers;
-    Mutex.unlock t.park_m
-  end
-
-let spin_rounds = 16
-
-let worker_loop t ix =
-  Domain.DLS.get worker_slot := Some (t.id, ix);
-  let spins = ref 0 in
-  let running = ref true in
-  while !running do
-    match find_work t ix with
-    | Some c ->
-        spins := 0;
-        run_cell c
-    | None ->
-        if Atomic.get t.closed then begin
-          (* Graceful drain: exit only when a full sweep finds nothing
-             left anywhere — queued work always completes. *)
-          if not (has_work t) then running := false
-        end
-        else if !spins < spin_rounds then begin
-          incr spins;
-          for _ = 1 to 1 lsl min !spins 6 do
-            Domain.cpu_relax ()
-          done
-        end
-        else begin
-          spins := 0;
-          park t
-        end
-  done;
-  Domain.DLS.get worker_slot := None
-
-let create ~domains =
-  if domains <= 0 then invalid_arg "Service.Pool.create: domains must be positive";
-  let t =
-    {
-      id = Atomic.fetch_and_add pool_ids 1;
-      size = domains;
-      deques = Array.init domains (fun _ -> Deque.create ());
-      inj_m = Mutex.create ();
-      injector = Stdlib.Queue.create ();
-      closed = Atomic.make false;
-      park_m = Mutex.create ();
-      park_c = Condition.create ();
-      sleepers = Atomic.make 0;
-      steals = Atomic.make 0;
-      parks = Atomic.make 0;
-      join_m = Mutex.create ();
-      workers = [];
-    }
-  in
-  t.workers <- List.init domains (fun ix -> Domain.spawn (fun () -> worker_loop t ix));
-  t
-
-let make_cell f =
-  let fut = { fm = Mutex.create (); fc = Condition.create (); st = Pending } in
-  let run () =
-    match f () with
-    | v -> resolve fut (Done v)
-    | exception e -> resolve fut (Failed e)
-  in
-  ({ run; taken = Atomic.make false }, fut)
-
-let submit_cell t f =
-  if Atomic.get t.closed then invalid_arg "Service.Pool.submit: pool is shut down";
-  let (cell, _) as cf = make_cell f in
-  (match my_index t with
-  | Some ix -> Deque.push t.deques.(ix) cell
-  | None ->
-      Mutex.lock t.inj_m;
-      Stdlib.Queue.add cell t.injector;
-      Mutex.unlock t.inj_m);
-  wake t ~all:false;
-  cf
-
-let submit t f = snd (submit_cell t f)
-
-let run_all t fs =
-  if Atomic.get t.closed then invalid_arg "Service.Pool.submit: pool is shut down";
-  let cells = List.map make_cell fs in
-  (* Enqueue the whole batch in one shot: straight onto our own deque
-     when called from a pool worker (lock-free), or into the injector
-     under a single lock acquisition — not one lock round-trip per
-     cell. *)
-  (match my_index t with
-  | Some ix ->
-      let d = t.deques.(ix) in
-      List.iter (fun (c, _) -> Deque.push d c) cells
-  | None ->
-      Mutex.lock t.inj_m;
-      List.iter (fun (c, _) -> Stdlib.Queue.add c t.injector) cells;
-      Mutex.unlock t.inj_m);
-  wake t ~all:true;
-  (* Help-first: claim every cell of this batch no worker has started
-     yet — one CAS per cell, no lock — and run it here. Whatever
-     remains is in flight on the pool. *)
-  List.iter
-    (fun (c, _) -> if Atomic.compare_and_set c.taken false true then c.run ())
-    cells;
-  (* Every cell is claimed by now; first failure in list order wins. *)
-  let results = List.map (fun (_, fut) -> try Ok (await fut) with e -> Error e) cells in
-  List.map (function Ok v -> v | Error e -> raise e) results
-
+(* [Domain.join] may be repeated, so every caller waits for the drain. *)
 let shutdown t =
-  Mutex.lock t.join_m;
-  let workers = t.workers in
-  t.workers <- [];
-  Mutex.unlock t.join_m;
-  Atomic.set t.closed true;
-  Mutex.lock t.park_m;
-  Condition.broadcast t.park_c;
-  Mutex.unlock t.park_m;
-  List.iter Domain.join workers
-
-let with_pool ~domains f =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+  Mutex.lock t.m;
+  t.closed <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.m;
+  List.iter Domain.join t.workers

@@ -26,7 +26,6 @@ type config = {
   workers : int;
   queue_capacity : int;
   cache : [ `Enabled of int | `Disabled ];
-  cache_shards : int;
   audit : bool;
   timeout_cycles : int option;
   max_retries : int;
@@ -38,8 +37,6 @@ type config = {
   fault : attempt:int -> job -> (Channel.Wire.t -> Channel.Wire.t) option;
   dispatch :
     (unit -> Engarde.Provision.outcome) -> unit -> Engarde.Provision.outcome;
-  hash_runner : Engarde.Analysis.hash_runner option;
-  pool_stats : (unit -> Pool.stats) option;
   channel : Engarde.Provision.channel;
   ticket_epoch : int;
   ticket_capacity : int;
@@ -50,7 +47,6 @@ let default_config =
     workers = 4;
     queue_capacity = 64;
     cache = `Enabled 256;
-    cache_shards = 1;
     audit = false;
     timeout_cycles = None;
     max_retries = 2;
@@ -67,8 +63,6 @@ let default_config =
       (fun pipeline ->
         let r = pipeline () in
         fun () -> r);
-    hash_runner = None;
-    pool_stats = None;
     (* Legacy by default: existing deployments (and the fault-injection
        hooks, which pattern-match [Code_block]) see the paper-faithful
        wire format unless the provider opts into streaming. *)
@@ -91,12 +85,7 @@ let parallel_config ?(config = default_config) ~domains () =
       (* At least one scheduler worker per domain, or in-flight slots —
          not cores — would bound the parallelism. *)
       workers = max config.workers domains;
-      (* Likewise at least one cache stripe per domain, so concurrent
-         pipelines don't serialize on one shard lock. *)
-      cache_shards = max config.cache_shards domains;
       dispatch = parallel_dispatch pool;
-      hash_runner = Some (fun tasks -> Pool.run_all pool tasks);
-      pool_stats = Some (fun () -> Pool.stats pool);
     },
     pool )
 
@@ -207,8 +196,6 @@ type t = {
 
 let create (cfg : config) =
   if cfg.workers <= 0 then invalid_arg "Service.Scheduler.create: workers must be positive";
-  if cfg.cache_shards <= 0 then
-    invalid_arg "Service.Scheduler.create: cache_shards must be positive";
   if cfg.ticket_capacity <= 0 then
     invalid_arg "Service.Scheduler.create: ticket_capacity must be positive";
   (* Custom programs are provider configuration, not client input:
@@ -236,7 +223,7 @@ let create (cfg : config) =
     queue = Queue.create ~capacity:cfg.queue_capacity;
     cache =
       (match cfg.cache with
-      | `Enabled cap -> Some (Cache.sharded ~shards:cfg.cache_shards ~capacity:cap)
+      | `Enabled cap -> Some (Cache.create ~capacity:cap)
       | `Disabled -> None);
     audit_log = (if cfg.audit then Some (Audit.Log.create ()) else None);
     metrics = Metrics.create ();
@@ -542,7 +529,6 @@ let start_attempt t ~worker a =
     }
   in
   let tamper = t.cfg.fault ~attempt:a.attempts job in
-  let hash_runner = t.cfg.hash_runner in
   let channel = t.cfg.channel in
   let ticket_epoch = t.cfg.ticket_epoch in
   (* A stashed ticket turns this attempt into a 0-RTT resumption; a
@@ -554,7 +540,7 @@ let start_attempt t ~worker a =
   in
   let join =
     t.cfg.dispatch (fun () ->
-        Engarde.Provision.run ?tamper ?hash_runner ~policies ~programs ~channel ?resume
+        Engarde.Provision.run ?tamper ~policies ~programs ~channel ?resume
           ~ticket_epoch provision_cfg ~payload:job.payload)
   in
   t.workers.(worker) <- Join (a, join)
@@ -664,10 +650,7 @@ let run_until_idle ?(max_ticks = 1_000_000) t =
   drain_completions t
 
 let report t =
-  let shards = Option.map Cache.shard_stats t.cache in
-  let pool = Option.map (fun f -> f ()) t.cfg.pool_stats in
-  Metrics.render ?shards ?pool t.metrics ~queue:(Queue.stats t.queue)
-    ~cache:(cache_stats t)
+  Metrics.render t.metrics ~queue:(Queue.stats t.queue) ~cache:(cache_stats t)
 
 let batch ?(config = default_config) jobs =
   let t = create config in

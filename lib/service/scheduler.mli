@@ -54,11 +54,6 @@ type config = {
   workers : int;
   queue_capacity : int;
   cache : [ `Enabled of int | `Disabled ];  (** capacity when enabled *)
-  cache_shards : int;
-      (** lock stripes of the verdict cache ({!Cache.sharded}); 1 — the
-          default — is the classic single-lock global LRU. Striping
-          never changes hit/miss outcomes, only contention, and the
-          metrics report exposes per-shard splits when > 1. *)
   audit : bool;
       (** maintain the Merkle transparency log: every completion that
           carries a verdict (cache hits included) appends one leaf *)
@@ -90,15 +85,6 @@ type config = {
           (join — may block until the outcome is ready). The default
           runs the pipeline in place at submit time and joins
           instantly; {!parallel_config} submits to a domain pool. *)
-  hash_runner : Engarde.Analysis.hash_runner option;
-      (** when set, passed to [Engarde.Provision.run] so each pipeline
-          prehashes its candidate function digests in parallel
-          (see {!Engarde.Analysis.prehash}); never changes verdicts or
-          modelled cycles *)
-  pool_stats : (unit -> Pool.stats) option;
-      (** when set (as {!parallel_config} does), {!report} samples it
-          and emits [pool_steals_total] / [pool_parks_total] — the
-          work-stealing pool's contention telemetry *)
   channel : Engarde.Provision.channel;
       (** which transfer flavor jobs provision over. [`Legacy] (the
           default) keeps the paper-faithful block channel; [`Streaming]
@@ -120,22 +106,19 @@ type config = {
 
 val default_config : config
 (** 4 workers, queue of 64, cache of 256 verdicts, audit off, no
-    timeout, 2 retries, clean channel, in-place dispatch, no hash
-    runner, libc-db v1.0.5, no custom programs,
-    the legacy channel at ticket epoch 0,
+    timeout, 2 retries, clean channel, in-place dispatch, libc-db
+    v1.0.5, no custom programs, the legacy channel at ticket epoch 0,
     [Engarde.Provision.default_config]. *)
 
 val parallel_config : ?config:config -> domains:int -> unit -> config * Pool.t
 (** [config] (default {!default_config}) rewired for true parallelism:
-    [dispatch] submits every pipeline to a fresh [domains]-wide {!Pool},
-    [hash_runner] fans per-function hashing out over the same pool,
-    [workers] is raised to at least [domains] so in-flight slots never
-    bound the parallelism, and [cache_shards] to at least [domains] so
-    concurrent pipelines don't serialize on one stripe lock. The pool
-    is returned so the caller can {!Pool.shutdown} it when the
-    scheduler is done. Verdicts, cache statistics and the audit-log
-    root are identical to the sequential configuration on the same job
-    mix — wall-clock time is the only observable difference. *)
+    [dispatch] submits every pipeline to a fresh [domains]-wide {!Pool}
+    and [workers] is raised to at least [domains] so in-flight slots
+    never bound the parallelism. The pool is returned so the caller
+    can {!Pool.shutdown} it when the scheduler is done. Verdicts, cache
+    statistics and the audit-log root are identical to the sequential
+    configuration on the same job mix — wall-clock time is the only
+    observable difference. *)
 
 val known_policies : string list
 (** The builtin policy names every scheduler accepts: "libc", "stack",

@@ -74,33 +74,17 @@ let sha256_big_buffer_equals_string () =
   Alcotest.(check string) "big streamed = string one-shot" (Sha256.digest_hex msg)
     (Sha256.hex (Sha256.finalize ctx))
 
-let sha256_digest_many_boundaries () =
-  (* Nine bodies forces a second interleave group (8 lanes per sweep);
-     lengths sit on both sides of every block boundary. *)
-  let msgs =
-    List.map
-      (fun n -> String.init n (fun i -> Char.chr ((i + n) mod 256)))
-      [ 0; 1; 63; 64; 65; 127; 128; 200; 1000 ]
-  in
-  Alcotest.(check (list string))
-    "digest_many = map digest" (List.map Sha256.digest msgs) (Sha256.digest_many msgs)
-
-(* Multi-buffer hashing is a pure batching optimization: bit-identical
-   to the scalar digest on arbitrary message counts and lengths, and it
-   composes with midstate export/import (a resumed scalar context must
-   reproduce each lane of the batch). *)
+(* Midstate export/import composes with one-shot hashing: a context
+   cut anywhere in a message, exported, imported and resumed gives the
+   one-shot digest of the whole message. *)
 let arb_msgs =
   QCheck.make
     ~print:(fun l ->
       String.concat ";" (List.map (fun s -> string_of_int (String.length s)) l))
     QCheck.Gen.(list_size (int_range 0 20) (string_size ~gen:char (int_range 0 300)))
 
-let prop_digest_many_scalar =
-  QCheck.Test.make ~name:"digest_many = map digest" ~count:200 arb_msgs (fun msgs ->
-      Sha256.digest_many msgs = List.map Sha256.digest msgs)
-
-let prop_digest_many_midstate =
-  QCheck.Test.make ~name:"digest_many matches midstate resume" ~count:100
+let prop_midstate_resume =
+  QCheck.Test.make ~name:"midstate resume matches digest" ~count:100
     (QCheck.pair arb_msgs (QCheck.int_range 0 1000))
     (fun (msgs, cut0) ->
       let resumed =
@@ -116,7 +100,7 @@ let prop_digest_many_midstate =
                 Sha256.finalize ctx')
           msgs
       in
-      resumed = Sha256.digest_many msgs)
+      resumed = List.map Sha256.digest msgs)
 
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA256: RFC 4231 vectors                                       *)
@@ -489,9 +473,8 @@ let () =
           Alcotest.test_case "streaming" `Quick sha256_streaming_equals_oneshot;
           Alcotest.test_case "update_sub bounds" `Quick sha256_update_sub_bounds;
           Alcotest.test_case "bigarray streaming" `Quick sha256_big_buffer_equals_string;
-          Alcotest.test_case "digest_many boundaries" `Quick sha256_digest_many_boundaries;
         ]
-        @ qsuite [ prop_digest_many_scalar; prop_digest_many_midstate ] );
+        @ qsuite [ prop_midstate_resume ] );
       ( "hmac",
         [
           Alcotest.test_case "rfc4231 #1" `Quick hmac_rfc4231_case1;

@@ -3,8 +3,7 @@
    cache (with re-verifiable import provenance), cross-fleet
    determinism against standalone schedulers, rogue-peer rejection
    with distinct errors and metrics, unresponsive-node quarantine with
-   job failover, the 0-RTT ticket-stash LRU bound, and per-shard cache
-   metric splits. *)
+   job failover, and the 0-RTT ticket-stash LRU bound. *)
 
 open Toolchain
 module Scheduler = Service.Scheduler
@@ -444,55 +443,6 @@ let ticket_lru () =
   Alcotest.(check bool) "eviction counter" true
     (contains report "ticket_stash_evictions_total 1")
 
-(* ------------------------------------------------------------------ *)
-(* Per-shard cache metrics                                             *)
-(* ------------------------------------------------------------------ *)
-
-let shard_metrics () =
-  (* Direct cache: the per-shard splits sum to the aggregate. *)
-  let c = Service.Cache.sharded ~shards:4 ~capacity:8 in
-  let verdict detail =
-    {
-      Service.Cache.accepted = true;
-      detail;
-      measurement = String.make 32 'm';
-      programs_digest = "";
-      instructions = 1;
-      disassembly_cycles = 1;
-      policy_cycles = 1;
-      loading_cycles = 1;
-      findings = [];
-    }
-  in
-  for i = 0 to 19 do
-    let key = Crypto.Sha256.digest (Printf.sprintf "key-%d" i) in
-    ignore (Service.Cache.find c key);
-    Service.Cache.add c key (verdict (string_of_int i));
-    ignore (Service.Cache.find c key)
-  done;
-  let agg = Service.Cache.stats c in
-  let per = Service.Cache.shard_stats c in
-  Alcotest.(check int) "four shards" 4 (Array.length per);
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per in
-  Alcotest.(check int) "hits sum" agg.Service.Cache.hits (sum (fun s -> s.Service.Cache.hits));
-  Alcotest.(check int) "misses sum" agg.Service.Cache.misses (sum (fun s -> s.Service.Cache.misses));
-  Alcotest.(check int) "evictions sum" agg.Service.Cache.evictions
-    (sum (fun s -> s.Service.Cache.evictions));
-  Alcotest.(check int) "size sum" agg.Service.Cache.size (sum (fun s -> s.Service.Cache.size));
-  Alcotest.(check bool) "evictions happened" true (agg.Service.Cache.evictions > 0);
-  (* Through the scheduler report: shard lines appear iff striped. *)
-  let striped = Scheduler.create { (node_config ()) with Scheduler.cache_shards = 4 } in
-  (match Scheduler.submit striped (job (Lazy.force mcf_plain)) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  ignore (Scheduler.run_until_idle striped);
-  let report = Scheduler.report striped in
-  Alcotest.(check bool) "shard split rendered" true (contains report "cache_shard_size{shard=\"0\"}");
-  Alcotest.(check bool) "all shards rendered" true (contains report "cache_shard_misses_total{shard=\"3\"}");
-  let flat = Scheduler.create (node_config ()) in
-  Alcotest.(check bool) "single shard stays flat" false
-    (contains (Scheduler.report flat) "cache_shard_size")
-
 let () =
   Alcotest.run "fleet"
     [
@@ -514,6 +464,5 @@ let () =
       ( "service",
         [
           Alcotest.test_case "ticket stash LRU" `Quick ticket_lru;
-          Alcotest.test_case "per-shard metrics" `Quick shard_metrics;
         ] );
     ]
