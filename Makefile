@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test fmt check bench bench-smoke bench-quick bench-json policy-oracle profile lint clean
+.PHONY: all build test fmt check bench bench-smoke bench-quick policy-oracle profile lint clean
 
 all: build
 
@@ -48,14 +48,6 @@ bench-quick:
 # and modelled cycles must match bit for bit.
 policy-oracle:
 	dune exec bench/main.exe -- --policy-oracle
-
-# The domains=1/2/4/8 wall-clock scaling table, the fleet table
-# (nodes=1/2/4: throughput and cross-node cache-hit ratio over two
-# seven-workload rounds, round two forced off the warm node) and the
-# channel comparison (legacy vs streaming vs 0-RTT: TTFPE and e2e per
-# workload), written to BENCH_service.json for trend tracking.
-bench-json:
-	dune exec bench/main.exe -- --scaling
 
 # One profiler-wrapped parallel batch through the domain pool. Uses
 # `perf stat` when the box has it (cycles, context switches, the real

@@ -11,8 +11,15 @@
    encrypted transfer, disassembly, policy check, load) and reading the
    per-phase cycle counters; the paper's published numbers are printed
    alongside with ours/paper ratios. Then come the ablation studies
-   DESIGN.md calls out, and finally Bechamel wall-clock microbenchmarks,
-   one per table/figure. *)
+   DESIGN.md calls out, the interprocedural table and the audit-log
+   tables. Every number the default run prints is deterministic
+   (modelled cycles, counts, sizes and their ratios), so reruns
+   reproduce it bit for bit; only the total time is wall-clock.
+   Wall-clock measurement with repeated runs and their spread lives in
+   benchmark/.
+
+   Modes: --smoke (hard gates), --policy-oracle (DSL-vs-native
+   differential), --profile (one parallel batch for a profiler). *)
 
 open Toolchain
 
@@ -69,6 +76,11 @@ let paper_fig5 =
 
 let libc_db = lazy (Libc.hash_db Libc.V1_0_5)
 let commas = Engarde.Report.commas
+
+(* [num / den] for a table cell; "-" when the base is 0 (e.g. IFCC on a
+   workload with no indirect call sites), not nan. *)
+let ratio num den =
+  if den = 0 then "-" else Printf.sprintf "%.2f" (float_of_int num /. float_of_int den)
 
 let banner title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -222,8 +234,9 @@ let figure_table ~title ~inst_config ~policies ~paper =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Context builder shared by ablations and microbenchmarks: everything
-   up to the phase under study, without the enclave protocol. *)
+(* Context builder shared by the ablations, the oracle and the smoke
+   gates: everything up to the phase under study, without the enclave
+   protocol. *)
 let context_of bench inst_config =
   let b = Workloads.build inst_config bench in
   let img = Linker.link b in
@@ -376,11 +389,9 @@ let flow_vs_pattern () =
       let sf = policy_cycles pre_stack (stack_mode `Flow) in
       let ip = policy_cycles pre_ifcc (ifcc_mode `Pattern) in
       let iff = policy_cycles pre_ifcc (ifcc_mode `Flow) in
-      Printf.printf "%-11s | %14s %14s %6.2f | %14s %14s %6.2f\n%!"
-        (Workloads.to_string bench) (commas sp) (commas sf)
-        (float_of_int sf /. float_of_int sp)
-        (commas ip) (commas iff)
-        (float_of_int iff /. float_of_int ip))
+      Printf.printf "%-11s | %14s %14s %6s | %14s %14s %6s\n%!"
+        (Workloads.to_string bench) (commas sp) (commas sf) (ratio sf sp)
+        (commas ip) (commas iff) (ratio iff ip))
     Workloads.all
 
 (* ------------------------------------------------------------------ *)
@@ -389,14 +400,6 @@ let flow_vs_pattern () =
 
 let stack_depth depth = Engarde.Policy_stack.make ~exempt:Libc.function_names ~depth ()
 let ifcc_depth depth = Engarde.Policy_ifcc.make ~depth ()
-
-type interproc_row = {
-  ip_workload : string;
-  stack_intra : int;
-  stack_inter : int;
-  ifcc_intra : int;
-  ifcc_inter : int;
-}
 
 (* Clean workloads take the same accept decision at both depths; the
    interprocedural column pays extra for the call graph, the callee
@@ -409,7 +412,7 @@ let interproc_table () =
      policies (policy-phase cycles incl. callgraph + summaries)";
   Printf.printf "%-11s | %14s %14s %6s | %14s %14s %6s\n" "Benchmark" "stack-intra"
     "stack-interp" "x" "ifcc-intra" "ifcc-interp" "x";
-  List.map
+  List.iter
     (fun bench ->
       let pre_stack = context_of bench Codegen.with_stack_protector in
       let pre_ifcc = context_of bench Codegen.with_ifcc in
@@ -417,19 +420,9 @@ let interproc_table () =
       let sx = policy_cycles pre_stack (stack_depth `Interproc) in
       let ii = policy_cycles pre_ifcc (ifcc_depth `Intra) in
       let ix = policy_cycles pre_ifcc (ifcc_depth `Interproc) in
-      let ratio num den =
-        if den = 0 then "-" else Printf.sprintf "%.2f" (float_of_int num /. float_of_int den)
-      in
       Printf.printf "%-11s | %14s %14s %6s | %14s %14s %6s\n%!"
         (Workloads.to_string bench) (commas si) (commas sx) (ratio sx si)
-        (commas ii) (commas ix) (ratio ix ii);
-      {
-        ip_workload = Workloads.to_string bench;
-        stack_intra = si;
-        stack_inter = sx;
-        ifcc_intra = ii;
-        ifcc_inter = ix;
-      })
+        (commas ii) (commas ix) (ratio ix ii))
     Workloads.all
 
 let ablation_fused_scan () =
@@ -521,31 +514,23 @@ let audit_bench () =
   let device = Sgx.Quote.device_create ~seed:"bench-device" in
   let mcf = (Linker.link (Workloads.build Codegen.plain Workloads.Mcf)).Linker.elf in
   let jobs = duplicate_jobs ~payload:mcf 8 in
-  let t0 = Unix.gettimeofday () in
   let cold, cold_cycles = audited_run ~device jobs in
-  let cold_dt = Unix.gettimeofday () -. t0 in
   let blob = Service.Scheduler.save_state cold ~device in
-  let t0 = Unix.gettimeofday () in
   let _, warm_cycles = audited_run ~device ~from_blob:blob jobs in
-  let warm_dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-6s %10s %22s %12s\n" "start" "wall (s)" "policy+disasm cycles" "blob bytes";
-  Printf.printf "%-6s %10.2f %22s %12s\n" "cold" cold_dt (commas cold_cycles) "-";
-  Printf.printf "%-6s %10.2f %22s %12s\n" "warm" warm_dt (commas warm_cycles)
-    (commas (String.length blob));
+  Printf.printf "%-6s %22s %12s\n" "start" "policy+disasm cycles" "blob bytes";
+  Printf.printf "%-6s %22s %12s\n" "cold" (commas cold_cycles) "-";
+  Printf.printf "%-6s %22s %12s\n" "warm" (commas warm_cycles) (commas (String.length blob));
   Printf.printf
     "warm restart skipped %.1f%% of re-inspection cycles on duplicate-heavy traffic\n"
     (100. *. (1. -. (float_of_int warm_cycles /. float_of_int (max 1 cold_cycles))))
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling: batch wall-clock by domain count                  *)
+(* Wall-clock runners for the smoke gates and `make profile`           *)
 (* ------------------------------------------------------------------ *)
 
-(* Modelled cycles cannot see parallelism — they are identical at every
-   domain count by design — so this table is measured on the monotonic
-   wall clock. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-let scaling_domain_counts = [ 1; 2; 4; 8 ]
+(* Modelled cycles cannot see parallelism or pipelining (they are
+   identical at every domain count and on either channel by design), so
+   these runners read the wall clock. *)
 
 let scaling_jobs () =
   List.map
@@ -558,10 +543,10 @@ let scaling_jobs () =
     Workloads.all
 
 (* Workers stay fixed at 8 (enough in-flight slots for the widest run)
-   and the cache is off, so the only thing that varies between rows is
+   and the cache is off, so the only thing that varies between runs is
    the number of domains actually executing pipelines. [domains = 1] is
-   the plain cooperative scheduler — the baseline the speedup column
-   and the smoke gate compare against. *)
+   the plain cooperative scheduler — the baseline the smoke gates
+   compare against. *)
 let scaling_run ~jobs ~domains =
   let base =
     {
@@ -580,11 +565,11 @@ let scaling_run ~jobs ~domains =
   Fun.protect
     ~finally:(fun () -> Option.iter Service.Pool.shutdown pool)
     (fun () ->
-      let t0 = now_s () in
+      let t0 = Unix.gettimeofday () in
       let t = Service.Scheduler.create config in
       List.iter (fun j -> ignore (Service.Scheduler.submit t j)) jobs;
       let completions = Service.Scheduler.run_until_idle t in
-      let dt = now_s () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       List.iter
         (fun (c : Service.Scheduler.completion) ->
           match c.Service.Scheduler.verdict with
@@ -595,86 +580,6 @@ let scaling_run ~jobs ~domains =
                    c.Service.Scheduler.job.Service.Scheduler.client))
         completions;
       dt)
-
-(* ------------------------------------------------------------------ *)
-(* Inspector fleet: throughput and cross-node cache sharing by size     *)
-(* ------------------------------------------------------------------ *)
-
-let fleet_node_counts = [ 1; 2; 4 ]
-
-(* Two rounds over the seven workloads. Round one routes by rendezvous
-   and fills each node's cache; round two forces every job onto a
-   *different* node than its rendezvous choice, so the only way it can
-   hit is through a quote-verified verdict imported from the warm peer.
-   The cross-node hit ratio is therefore round-two hits over round-two
-   jobs — 0 for a fleet of one (nowhere else to land). *)
-let fleet_run ~nodes =
-  let node_config =
-    {
-      Service.Scheduler.default_config with
-      Service.Scheduler.workers = 2;
-      cache = `Enabled 64;
-      audit = true;
-      provision = fast_provision;
-    }
-  in
-  let cfg =
-    { Fleet.Coordinator.default_config with Fleet.Coordinator.nodes; node_config }
-  in
-  let jobs = scaling_jobs () in
-  let t0 = now_s () in
-  let t = Fleet.Coordinator.create cfg in
-  List.iter (fun j -> ignore (Fleet.Coordinator.submit t j)) jobs;
-  let round1 = Fleet.Coordinator.run_until_idle t in
-  List.iter
-    (fun j ->
-      let away = (Fleet.Coordinator.route t j + 1) mod nodes in
-      ignore (Fleet.Coordinator.submit t ~node:away j))
-    jobs;
-  let round2 = Fleet.Coordinator.run_until_idle t in
-  let dt = now_s () -. t0 in
-  List.iter
-    (fun (_, (c : Service.Scheduler.completion)) ->
-      match c.Service.Scheduler.verdict with
-      | Ok v when v.Service.Cache.accepted -> ()
-      | Ok _ | Error _ ->
-          failwith
-            (Printf.sprintf "fleet run (nodes=%d): job %s did not pass" nodes
-               c.Service.Scheduler.job.Service.Scheduler.client))
-    (round1 @ round2);
-  let st = Fleet.Coordinator.stats t in
-  let total f = Array.fold_left (fun acc s -> acc + f s) 0 st in
-  let cross = total (fun s -> s.Fleet.Coordinator.cross_hits) in
-  ( dt,
-    List.length round1 + List.length round2,
-    total (fun s -> s.Fleet.Coordinator.pipeline_runs),
-    float_of_int cross /. float_of_int (List.length round2) )
-
-let fleet_table () =
-  banner
-    "Inspector fleet: two seven-workload rounds, round two forced off the warm node \
-     (2 workers/node, libc policy)";
-  let rows =
-    List.map
-      (fun nodes ->
-        let dt, jobs_n, runs, cross = fleet_run ~nodes in
-        Printf.printf "  nodes=%d done in %.2fs\n%!" nodes dt;
-        (nodes, dt, jobs_n, runs, cross))
-      fleet_node_counts
-  in
-  Printf.printf "\n%-8s %10s %10s %14s %16s\n" "nodes" "wall (s)" "jobs/s" "pipeline runs"
-    "cross-hit ratio";
-  List.iter
-    (fun (nodes, dt, jobs_n, runs, cross) ->
-      Printf.printf "%-8d %10.2f %10.2f %14d %15.0f%%\n" nodes dt
-        (float_of_int jobs_n /. dt)
-        runs (100. *. cross))
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* Channel comparison: streaming vs legacy, cold vs 0-RTT               *)
-(* ------------------------------------------------------------------ *)
 
 (* Full-size workloads with a test-speed handshake; page sizing stays
    the default so even nginx fits. *)
@@ -688,210 +593,22 @@ let channel_provision =
    the whole transfer has drained; the streaming ingest validates the
    ELF prefix as soon as the first record is staged, while later pages
    are still in flight. *)
-let channel_run ?resume ~channel payload =
-  let t0 = now_s () in
+let channel_run ~channel payload =
+  let t0 = Unix.gettimeofday () in
   let started = ref t0 and first = ref None in
   let o =
-    Engarde.Provision.run ~channel ?resume
+    Engarde.Provision.run ~channel
       ~policies:[ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ]
       ~on_event:(function
-        | Engarde.Provision.Transfer_started -> started := now_s ()
-        | _ -> if !first = None then first := Some (now_s () -. !started))
+        | Engarde.Provision.Transfer_started -> started := Unix.gettimeofday ()
+        | _ -> if !first = None then first := Some (Unix.gettimeofday () -. !started))
       channel_provision ~payload
   in
-  let e2e = now_s () -. t0 in
+  let e2e = Unix.gettimeofday () -. t0 in
   (match o.Engarde.Provision.result with
   | Ok _ -> ()
   | Error r -> failwith ("channel bench: " ^ Engarde.Provision.rejection_to_string r));
-  (o, Option.value ~default:e2e !first, e2e)
-
-type channel_row = {
-  ch_workload : string;
-  legacy_ttfpe : float;
-  legacy_e2e : float;
-  stream_ttfpe : float;
-  stream_e2e : float;
-  zrtt_ttfpe : float;
-  zrtt_e2e : float;
-}
-
-let channel_row bench =
-  let payload = (Linker.link (Workloads.build Codegen.plain bench)).Linker.elf in
-  let _, legacy_ttfpe, legacy_e2e = channel_run ~channel:`Legacy payload in
-  let cold, stream_ttfpe, stream_e2e = channel_run ~channel:`Streaming payload in
-  let resume = Option.get cold.Engarde.Provision.ticket in
-  let _, zrtt_ttfpe, zrtt_e2e = channel_run ~channel:`Streaming ~resume payload in
-  { ch_workload = Workloads.to_string bench; legacy_ttfpe; legacy_e2e; stream_ttfpe;
-    stream_e2e; zrtt_ttfpe; zrtt_e2e }
-
-let channel_table () =
-  banner
-    "Channel comparison: wall-clock to first policy event (TTFPE) and to verdict (e2e), \
-     libc policy";
-  Printf.printf "%-22s %10s %10s %10s %10s %10s %10s\n" "workload" "leg-ttfpe" "leg-e2e"
-    "str-ttfpe" "str-e2e" "0rtt-ttfpe" "0rtt-e2e";
-  List.map
-    (fun bench ->
-      let r = channel_row bench in
-      Printf.printf "%-22s %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs %9.3fs\n%!" r.ch_workload
-        r.legacy_ttfpe r.legacy_e2e r.stream_ttfpe r.stream_e2e r.zrtt_ttfpe r.zrtt_e2e;
-      r)
-    Workloads.all
-
-let bench_json_path = Filename.concat repo_root "BENCH_service.json"
-
-(* Physical cores as the OS reports them — [recommended_domain_count]
-   can be container-clamped below this, and the scaling curve is only
-   interpretable knowing both (core starvation vs. real overhead). *)
-let host_cores () =
-  let from_cpuinfo () =
-    let ic = open_in "/proc/cpuinfo" in
-    let n = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.length line >= 9 && String.sub line 0 9 = "processor" then incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
-  in
-  match from_cpuinfo () with
-  | n when n > 0 -> n
-  | _ | (exception Sys_error _) -> Domain.recommended_domain_count ()
-
-let git_rev () =
-  let read_line_of path =
-    let ic = open_in path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
-  in
-  let resolve_ref r =
-    match read_line_of (Filename.concat repo_root (Filename.concat ".git" r)) with
-    | line -> Some line
-    | exception (Sys_error _ | End_of_file) -> (
-        (* fall back to packed-refs: lines of "<sha> <refname>" *)
-        match open_in (Filename.concat repo_root ".git/packed-refs") with
-        | exception Sys_error _ -> None
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () ->
-                let found = ref None in
-                (try
-                   while !found = None do
-                     let line = input_line ic in
-                     match String.index_opt line ' ' with
-                     | Some sp when String.sub line (sp + 1) (String.length line - sp - 1) = r
-                       ->
-                         found := Some (String.sub line 0 sp)
-                     | _ -> ()
-                   done
-                 with End_of_file -> ());
-                !found))
-  in
-  match read_line_of (Filename.concat repo_root ".git/HEAD") with
-  | exception (Sys_error _ | End_of_file) -> "unknown"
-  | head ->
-      if String.length head > 5 && String.sub head 0 5 = "ref: " then
-        match resolve_ref (String.sub head 5 (String.length head - 5)) with
-        | Some sha -> sha
-        | None -> "unknown"
-      else head
-
-let write_scaling_json ~recommended ~jobs_n ~channel ~fleet ~interproc rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"benchmark\": \"service-batch-scaling\",\n";
-  Buffer.add_string b "  \"policy\": \"libc\",\n";
-  Printf.bprintf b "  \"workloads\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun w -> Printf.sprintf "%S" (Workloads.to_string w)) Workloads.all));
-  Printf.bprintf b "  \"jobs\": %d,\n" jobs_n;
-  Buffer.add_string b "  \"workers\": 8,\n";
-  Printf.bprintf b "  \"host_cores\": %d,\n" (host_cores ());
-  Printf.bprintf b "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  Printf.bprintf b "  \"git_rev\": %S,\n" (git_rev ());
-  Printf.bprintf b "  \"recommended_domains\": %d,\n" recommended;
-  Buffer.add_string b "  \"runs\": [\n";
-  let base_dt = List.assoc 1 rows in
-  List.iteri
-    (fun i (domains, dt) ->
-      Printf.bprintf b
-        "    {\"domains\": %d, \"wall_s\": %.3f, \"jobs_per_s\": %.3f, \
-         \"speedup_vs_1\": %.3f}%s\n"
-        domains dt
-        (float_of_int jobs_n /. dt)
-        (base_dt /. dt)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"fleet\": [\n";
-  List.iteri
-    (fun i (nodes, dt, fjobs, runs, cross) ->
-      Printf.bprintf b
-        "    {\"nodes\": %d, \"wall_s\": %.3f, \"jobs_per_s\": %.3f, \"pipeline_runs\": \
-         %d, \"cross_hit_ratio\": %.3f}%s\n"
-        nodes dt
-        (float_of_int fjobs /. dt)
-        runs cross
-        (if i = List.length fleet - 1 then "" else ","))
-    fleet;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"channel\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"workload\": %S, \"legacy_ttfpe_s\": %.4f, \"legacy_e2e_s\": %.4f, \
-         \"streaming_ttfpe_s\": %.4f, \"streaming_e2e_s\": %.4f, \"zero_rtt_ttfpe_s\": \
-         %.4f, \"zero_rtt_e2e_s\": %.4f}%s\n"
-        r.ch_workload r.legacy_ttfpe r.legacy_e2e r.stream_ttfpe r.stream_e2e r.zrtt_ttfpe
-        r.zrtt_e2e
-        (if i = List.length channel - 1 then "" else ","))
-    channel;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"interproc_vs_intra\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"workload\": %S, \"stack_intra_cycles\": %d, \"stack_interproc_cycles\": \
-         %d, \"ifcc_intra_cycles\": %d, \"ifcc_interproc_cycles\": %d}%s\n"
-        r.ip_workload r.stack_intra r.stack_inter r.ifcc_intra r.ifcc_inter
-        (if i = List.length interproc - 1 then "" else ","))
-    interproc;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out bench_json_path in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
-let scaling_table () =
-  banner
-    "Multicore scaling: seven-workload batch wall-clock by domain count (8 workers, \
-     cache off, libc policy)";
-  let recommended = Domain.recommended_domain_count () in
-  Printf.printf "machine: %d recommended domain(s)\n" recommended;
-  let jobs = scaling_jobs () in
-  let jobs_n = List.length jobs in
-  let rows =
-    List.map
-      (fun domains ->
-        let dt = scaling_run ~jobs ~domains in
-        Printf.printf "  domains=%d done in %.2fs\n%!" domains dt;
-        (domains, dt))
-      scaling_domain_counts
-  in
-  let base_dt = List.assoc 1 rows in
-  Printf.printf "\n%-8s %10s %10s %10s\n" "domains" "wall (s)" "jobs/s" "speedup";
-  List.iter
-    (fun (domains, dt) ->
-      Printf.printf "%-8d %10.2f %10.2f %9.2fx\n" domains dt
-        (float_of_int jobs_n /. dt)
-        (base_dt /. dt))
-    rows;
-  let fleet = fleet_table () in
-  let channel = channel_table () in
-  let interproc = interproc_table () in
-  write_scaling_json ~recommended ~jobs_n ~channel ~fleet ~interproc rows;
-  Printf.printf "machine-readable results -> %s\n" bench_json_path
+  (Option.value ~default:e2e !first, e2e)
 
 (* ------------------------------------------------------------------ *)
 (* Policy oracle: DSL programs vs native modules on every workload      *)
@@ -1002,7 +719,6 @@ let smoke () =
     fused_vs_independent ~policies:libc_only (context_of Workloads.Mcf Codegen.plain)
   in
   row "429.mcf (library-linking)" ~want_2x:true independent fused;
-  banner "bench-smoke: audit-log proofs stay logarithmic; warm restart amortizes";
   let check label ok detail =
     if not ok then incr failures;
     Printf.printf "%-44s %s  %s\n" label detail (if ok then "ok" else "FAIL")
@@ -1088,6 +804,7 @@ let smoke () =
      (2 * (vm + overhead) <= 3 * native)
      (Printf.sprintf "DSL %s + %s vm = %.2fx native" (commas vm) (commas overhead)
         (float_of_int (vm + overhead) /. float_of_int native)));
+  banner "bench-smoke: audit-log proofs stay logarithmic; warm restart amortizes";
   (* 1k-leaf log: every inclusion proof must be O(log n) — at most
      ceil(log2 1024) = 10 hashes — and actually verify against a
      quote-signed checkpoint. *)
@@ -1128,8 +845,8 @@ let smoke () =
     (Printf.sprintf "cold %s warm %s cycles" (commas cold_cycles) (commas warm_cycles));
   banner "bench-smoke: streaming channel reaches the first policy event early (nginx)";
   (let payload = (Linker.link (Workloads.build Codegen.plain Workloads.Nginx)).Linker.elf in
-   let _, legacy_ttfpe, legacy_e2e = channel_run ~channel:`Legacy payload in
-   let _, stream_ttfpe, stream_e2e = channel_run ~channel:`Streaming payload in
+   let legacy_ttfpe, legacy_e2e = channel_run ~channel:`Legacy payload in
+   let stream_ttfpe, stream_e2e = channel_run ~channel:`Streaming payload in
    check "streaming TTFPE <= 0.5x legacy on the largest workload"
      (stream_ttfpe <= 0.5 *. legacy_ttfpe)
      (Printf.sprintf "legacy %.3fs -> streaming %.3fs (e2e %.2fs / %.2fs)" legacy_ttfpe
@@ -1210,157 +927,18 @@ let smoke () =
   print_endline "bench-smoke: all assertions passed"
 
 (* ------------------------------------------------------------------ *)
-(* Service-layer throughput: jobs/sec through the scheduler             *)
-(* ------------------------------------------------------------------ *)
-
-(* Duplicate-heavy traffic models a provider re-inspecting the same
-   release artifact for many tenants (the verdict cache's home turf);
-   unique-heavy traffic (every payload distinct, via Workloads.build
-   ~seed) models a CI-style stream the cache cannot help with. *)
-let service_throughput () =
-  banner "Service layer: batch throughput (jobs/sec) by worker count and workload mix";
-  let fast =
-    {
-      Engarde.Provision.default_config with
-      Engarde.Provision.epc_pages = 4096;
-      heap_pages = 512;
-      bootstrap_pages = 8;
-      image_pages = 1600;
-      rsa_bits = 512;
-    }
-  in
-  let n_jobs = 8 in
-  let mcf = (Linker.link (Workloads.build Codegen.plain Workloads.Mcf)).Linker.elf in
-  let duplicate_heavy =
-    List.init n_jobs (fun i ->
-        {
-          Service.Scheduler.client = Printf.sprintf "dup-%d" i;
-          payload = mcf;
-          policy_names = [ "libc" ];
-        })
-  in
-  let unique_heavy =
-    List.init n_jobs (fun i ->
-        {
-          Service.Scheduler.client = Printf.sprintf "uniq-%d" i;
-          payload =
-            (Linker.link
-               (Workloads.build ~seed:(string_of_int i) Codegen.plain Workloads.Mcf))
-              .Linker.elf;
-          policy_names = [ "libc" ];
-        })
-  in
-  Printf.printf "%-16s %7s %6s %8s %10s %6s %18s\n" "workload" "workers" "cache" "jobs/s"
-    "wall (s)" "hits" "policy+disasm cyc";
-  let inspect_cycles = ref [] in
-  List.iter
-    (fun (label, jobs) ->
-      List.iter
-        (fun (workers, cache) ->
-          let config =
-            {
-              Service.Scheduler.default_config with
-              Service.Scheduler.workers;
-              cache;
-              provision = fast;
-            }
-          in
-          let t0 = Unix.gettimeofday () in
-          let t = Service.Scheduler.create config in
-          List.iter (fun j -> ignore (Service.Scheduler.submit t j)) jobs;
-          let done_ = Service.Scheduler.run_until_idle t in
-          let dt = Unix.gettimeofday () -. t0 in
-          let jc = Service.Metrics.job_counts (Service.Scheduler.metrics t) in
-          let ph = Service.Metrics.phase_totals (Service.Scheduler.metrics t) in
-          let inspect = ph.Service.Metrics.disassembly + ph.Service.Metrics.policy in
-          let cache_on = cache <> `Disabled in
-          if label = "duplicate-heavy" && workers = 4 then
-            inspect_cycles := (cache_on, inspect) :: !inspect_cycles;
-          Printf.printf "%-16s %7d %6s %8.1f %10.2f %6d %18s\n%!" label workers
-            (if cache_on then "on" else "off")
-            (float_of_int (List.length done_) /. dt)
-            dt jc.Service.Metrics.cache_hits (commas inspect))
-        [ (1, `Disabled); (1, `Enabled 64); (4, `Disabled); (4, `Enabled 64) ])
-    [ ("duplicate-heavy", duplicate_heavy); ("unique-heavy", unique_heavy) ];
-  match
-    ( List.assoc_opt true !inspect_cycles,
-      List.assoc_opt false !inspect_cycles )
-  with
-  | Some on, Some off ->
-      Printf.printf
-        "duplicate-heavy amortization: cache cut policy+disassembly cycles %.1fx (%s -> %s)%s\n"
-        (float_of_int off /. float_of_int on)
-        (commas off) (commas on)
-        (if off >= 2 * on then " — meets the >=2x target" else " — BELOW the >=2x target")
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: wall-clock of each figure's dominant phase *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  banner "Bechamel microbenchmarks (wall-clock, one Test.make per table/figure)";
-  let open Bechamel in
-  let pre = context_of Workloads.Mcf Codegen.plain in
-  let pre_stack = context_of Workloads.Mcf Codegen.with_stack_protector in
-  let pre_ifcc = context_of Workloads.Otpgen Codegen.with_ifcc in
-  let mcf_elf = (Linker.link (Workloads.build Codegen.plain Workloads.Mcf)).Linker.elf in
-  let ctx_plain, _ = make_ctx pre in
-  let ctx_stack, _ = make_ctx pre_stack in
-  let ctx_ifcc, _ = make_ctx pre_ifcc in
-  let policy_libc = Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () in
-  let policy_stack = Engarde.Policy_stack.make ~exempt:Libc.function_names () in
-  let policy_ifcc = Engarde.Policy_ifcc.make () in
-  let code, base, symbols = pre in
-  let tests =
-    [
-      (* Figure 2's subject is EnGarde's own code: the closest runnable
-         proxy is the ELF front end every provisioning run executes. *)
-      Test.make ~name:"fig2:elf-validate (429.mcf)"
-        (Staged.stage (fun () -> ignore (Elf64.Reader.parse mcf_elf)));
-      Test.make ~name:"fig3/4/5:disassembly (429.mcf)"
-        (Staged.stage (fun () ->
-             ignore (Engarde.Disasm.run (Sgx.Perf.create ()) ~code ~base ~symbols)));
-      Test.make ~name:"fig3:policy-libc (429.mcf)"
-        (Staged.stage (fun () -> ignore (policy_libc.Engarde.Policy.check ctx_plain)));
-      Test.make ~name:"fig4:policy-stack (429.mcf)"
-        (Staged.stage (fun () -> ignore (policy_stack.Engarde.Policy.check ctx_stack)));
-      Test.make ~name:"fig5:policy-ifcc (otp-gen)"
-        (Staged.stage (fun () -> ignore (policy_ifcc.Engarde.Policy.check ctx_ifcc)));
-    ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  Printf.printf "%-36s %16s %10s\n" "phase" "ns/run (OLS)" "r^2";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          let est = match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> nan in
-          let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-          Printf.printf "%-36s %16.1f %10.4f\n%!" name est r2)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* `make profile` payload: one parallel batch under whatever profiler   *)
 (* wraps this process (perf stat / time -v).                            *)
 (* ------------------------------------------------------------------ *)
 
 let profile () =
-  let domains = min 2 (Domain.recommended_domain_count ()) in
+  let recommended = Domain.recommended_domain_count () in
+  let domains = min 2 recommended in
   banner
     (Printf.sprintf
        "profile: seven-workload batch on the domain pool (domains=%d, 8 workers, cache off)"
        domains);
-  Printf.printf "host_cores=%d ocaml=%s git=%s\n%!" (host_cores ()) Sys.ocaml_version
-    (git_rev ());
+  Printf.printf "recommended_domains=%d ocaml=%s\n%!" recommended Sys.ocaml_version;
   (* The smoke gate's batch: 8 workers, cache off, every job must pass. *)
   let jobs = scaling_jobs () in
   let dt = scaling_run ~jobs ~domains in
@@ -1369,26 +947,7 @@ let profile () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  if Array.exists (fun a -> a = "--smoke") Sys.argv then begin
-    smoke ();
-    exit 0
-  end;
-  (* Just the full DSL-vs-native differential (`make policy-oracle`). *)
-  if Array.exists (fun a -> a = "--policy-oracle") Sys.argv then begin
-    policy_oracle ();
-    exit 0
-  end;
-  (* Just the multicore table + BENCH_service.json (`make bench-json`). *)
-  if Array.exists (fun a -> a = "--scaling") Sys.argv then begin
-    scaling_table ();
-    exit 0
-  end;
-  (* One profiler-friendly parallel batch (`make profile`). *)
-  if Array.exists (fun a -> a = "--profile") Sys.argv then begin
-    profile ();
-    exit 0
-  end;
+let suite () =
   let t0 = Unix.gettimeofday () in
   print_endline "EnGarde reproduction benchmark suite";
   print_endline
@@ -1416,8 +975,18 @@ let () =
   ablation_memoized_hashing ();
   ablation_combined_policies ();
   ablation_fused_scan ();
-  service_throughput ();
-  scaling_table ();
+  interproc_table ();
   audit_bench ();
-  bechamel_suite ();
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> suite ()
+  | [ "--smoke" ] -> smoke ()
+  (* Just the full DSL-vs-native differential (`make policy-oracle`). *)
+  | [ "--policy-oracle" ] -> policy_oracle ()
+  (* One profiler-friendly parallel batch (`make profile`). *)
+  | [ "--profile" ] -> profile ()
+  | _ ->
+      prerr_endline "usage: main.exe [--smoke | --policy-oracle | --profile]";
+      exit 2

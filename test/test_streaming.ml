@@ -183,6 +183,7 @@ let non_elf_prefix_checked_once () =
 (* ------------------------------------------------------------------ *)
 
 let mcf_payload = lazy (Linker.link (Workloads.build Codegen.plain Workloads.Mcf)).Linker.elf
+let nginx_payload = lazy (Linker.link (Workloads.build Codegen.plain Workloads.Nginx)).Linker.elf
 
 let accepted_outcome name (o : Engarde.Provision.outcome) =
   (match o.Engarde.Provision.result with
@@ -197,9 +198,8 @@ let stats name (o : Engarde.Provision.outcome) =
   | Some st -> st
   | None -> Alcotest.failf "%s: no channel stats" name
 
-let zero_rtt_roundtrip () =
-  let payload = Lazy.force mcf_payload in
-  let cfg = small_config "stream-0rtt" in
+let zero_rtt_roundtrip payload cfg () =
+  let payload = Lazy.force payload in
   let policies () = [ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ] in
   let cold = Engarde.Provision.run ~channel:`Streaming ~policies:(policies ()) cfg ~payload in
   accepted_outcome "cold" cold;
@@ -616,7 +616,11 @@ let () =
         ] );
       ( "zero-rtt",
         [
-          Alcotest.test_case "roundtrip + rotation" `Slow zero_rtt_roundtrip;
+          Alcotest.test_case "roundtrip + rotation" `Slow
+            (zero_rtt_roundtrip mcf_payload (small_config "stream-0rtt"));
+          (* The largest workload, at full page sizing. *)
+          Alcotest.test_case "roundtrip + rotation (nginx)" `Slow
+            (zero_rtt_roundtrip nginx_payload (big_config "stream-0rtt"));
           Alcotest.test_case "stale epoch falls back" `Slow zero_rtt_stale_epoch;
           Alcotest.test_case "measurement mismatch falls back" `Slow zero_rtt_measurement_mismatch;
           Alcotest.test_case "tampered ticket falls back" `Slow zero_rtt_tampered_ticket;
