@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test fmt check bench bench-smoke bench-quick policy-oracle profile lint clean
+.PHONY: all build test fmt check bench bench-smoke bench-quick profile lint clean
 
 all: build
 
@@ -14,22 +14,22 @@ fmt:
 	dune build @fmt
 
 # The one target CI / a reviewer needs: formatting, full build, full
-# tests (incl. the qcheck CFG/dataflow properties), the reduced
-# benchmark gate (fused single-pass analysis must never lose to
+# tests (incl. the qcheck CFG/dataflow properties and the DSL-vs-native
+# golden table over every workload and adversarial fixture), the
+# reduced benchmark gate (fused single-pass analysis must never lose to
 # independent per-policy scans; flow-sensitive policies within budget
 # of the pattern scans; the DSL libc program within 1.5x of the native
 # module including interpreter overhead; domains=4 batch >= 1.8x
 # faster than domains=1 wall-clock, skipped on machines with < 4
 # recommended domains; domains=2 never slower than domains=1, skipped
 # below 2; a mutually-attested fleet of two re-inspects a
-# shared binary at most once), the DSL-vs-native differential oracle
-# over every workload, and the control-flow lint over every example
-# workload. `test` includes the fleet suite (test_fleet.ml: MAGE
+# shared binary at most once), and the control-flow lint over every
+# example workload. `test` includes the fleet suite (test_fleet.ml: MAGE
 # derivation, verdict-import trust rule, rogue-peer rejection,
 # quarantine failover). `bench-quick` is the only step that drives all
 # four service workloads end to end (0-RTT resumption and the warm
 # restart included) against the benchmark's known-answer table.
-check: fmt build test bench-smoke bench-quick policy-oracle lint
+check: fmt build test bench-smoke bench-quick lint
 
 bench:
 	dune exec bench/main.exe
@@ -42,12 +42,6 @@ bench-smoke:
 # runs inside _build/, so it appends nothing to benchmark/history.jsonl.
 bench-quick:
 	dune build @benchmark/quick
-
-# The full differential: every workload (and adversarial fixture), the
-# five builtin DSL programs vs the native modules — verdicts, findings
-# and modelled cycles must match bit for bit.
-policy-oracle:
-	dune exec bench/main.exe -- --policy-oracle
 
 # One profiler-wrapped parallel batch through the domain pool. Uses
 # `perf stat` when the box has it (cycles, context switches, the real
@@ -64,10 +58,10 @@ profile: build
 	  dune exec bench/main.exe -- --profile; \
 	fi
 
-# Every synthesized evaluation workload, fully instrumented, must come
-# out of the CFG lint with zero findings.
+# Every synthesized evaluation workload, fully instrumented, must pass
+# the enclave's inspection under the CFG lint with zero findings.
 lint:
-	dune exec bin/engarde_cli.exe -- lint --variant stack+ifcc \
+	dune exec bin/engarde_cli.exe -- inspect -p lint --variant stack+ifcc \
 	  -b nginx -b 401.bzip2 -b graph-500 -b 429.mcf -b memcached \
 	  -b netperf -b otp-gen
 

@@ -18,8 +18,9 @@
    Wall-clock measurement with repeated runs and their spread lives in
    benchmark/.
 
-   Modes: --smoke (hard gates), --policy-oracle (DSL-vs-native
-   differential), --profile (one parallel batch for a profiler). *)
+   Modes: --smoke (hard gates), --profile (one parallel batch for a
+   profiler). The DSL-vs-native differential is a golden table in
+   test/test_policyvm.ml, under `dune runtest`. *)
 
 open Toolchain
 
@@ -133,9 +134,10 @@ let figure2 () =
      run inside the inspecting enclave: their sum is the code both
      parties must audit. *)
   let p rel = Filename.concat repo_root rel in
-  let core names =
-    List.concat_map (fun n -> [ p ("lib/core/" ^ n ^ ".ml"); p ("lib/core/" ^ n ^ ".mli") ]) names
+  let files dir names =
+    List.concat_map (fun n -> [ p (dir ^ n ^ ".ml"); p (dir ^ n ^ ".mli") ]) names
   in
+  let core = files "lib/core/" in
   let ours =
     [
       ("Code provisioning (provision + channel)", true,
@@ -150,7 +152,10 @@ let figure2 () =
       ("Interprocedural (callgraph + summary)", true, core [ "callgraph"; "summary" ]);
       ("Lint and sanitize (policy_lint + policy_sanitize)", true,
        core [ "policy_lint"; "policy_sanitize" ]);
-      ("Policy VM (lib/policyvm)", true, [ p "lib/policyvm" ]);
+      ("Policy VM interpreter + codec (vm + prog + encode)", true,
+       files "lib/policyvm/" [ "vm"; "prog"; "encode" ]);
+      ("Builtin DSL transcriptions (policyvm builtin)", false,
+       files "lib/policyvm/" [ "builtin" ]);
       ("Disassembler + NaCl validation (lib/x86)", true, [ p "lib/x86" ]);
       ("Crypto library (lib/crypto)", true, [ p "lib/crypto" ]);
       ("Synthetic musl + toolchain (lib/toolchain)", false, [ p "lib/toolchain" ]);
@@ -234,7 +239,7 @@ let figure_table ~title ~inst_config ~policies ~paper =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Context builder shared by the ablations, the oracle and the smoke
+(* Context builder shared by the ablations and the smoke
    gates: everything up to the phase under study, without the enclave
    protocol. *)
 let context_of bench inst_config =
@@ -252,6 +257,9 @@ let make_ctx ?alloc ?analysis_perf (code, base, symbols) =
          a separate [analysis_perf] hives them off. *)
       (Engarde.Policy.context ?analysis_perf ~perf:(Sgx.Perf.create ()) buffer symhash, perf)
   | Error v -> failwith (X86.Nacl.violation_to_string v)
+
+(* A context whose policy counter holds policy work only. *)
+let policy_ctx pre = fst (make_ctx ~analysis_perf:(Sgx.Perf.create ()) pre)
 
 let expect_compliant ?bench (p : Engarde.Policy.t) ctx =
   match p.Engarde.Policy.check ctx with
@@ -611,84 +619,6 @@ let channel_run ~channel payload =
   (Option.value ~default:e2e !first, e2e)
 
 (* ------------------------------------------------------------------ *)
-(* Policy oracle: DSL programs vs native modules on every workload      *)
-(* ------------------------------------------------------------------ *)
-
-(* The full differential sweep (`make policy-oracle`): the five builtin
-   DSL programs must reproduce the native modules' verdicts, findings
-   and modelled cycles bit for bit on all seven workloads (fully
-   instrumented, so every policy exercises its accept path) plus the
-   adversarial fixtures (the reject paths). The in-runtest suite covers
-   a small core of this; here nothing is sampled. *)
-let native_oracle_policies () =
-  [
-    Engarde.Policy_libc.make ~db:(Lazy.force libc_db) ();
-    Engarde.Policy_stack.make ~exempt:Libc.function_names ();
-    Engarde.Policy_ifcc.make ();
-    Engarde.Policy_lint.make ();
-    Engarde.Policy_sanitize.make ();
-  ]
-
-let vm_oracle_policies vm_perf =
-  List.map
-    (fun (_, p) -> Policyvm.Vm.policy ~vm_perf p)
-    (Policyvm.Builtin.all ~db:(Lazy.force libc_db) ~exempt:Libc.function_names)
-
-let oracle_ctx pre =
-  let ctx, _ = make_ctx ~analysis_perf:(Sgx.Perf.create ()) pre in
-  ctx
-
-let policy_oracle () =
-  banner
-    "policy-oracle: DSL builtins vs native modules — verdicts, findings and \
-     modelled cycles must match bit for bit";
-  Printf.printf "%-22s %16s %16s %7s  %s\n" "workload" "modelled cycles" "vm overhead"
-    "ratio" "verdict";
-  let failures = ref 0 in
-  let compare_engines label pre =
-    let ctx_n = oracle_ctx pre in
-    let res_n = Engarde.Policy.run_all ctx_n (native_oracle_policies ()) in
-    let ctx_v = oracle_ctx pre in
-    let vm_perf = Sgx.Perf.create () in
-    let res_v = Engarde.Policy.run_all ctx_v (vm_oracle_policies vm_perf) in
-    let cycles p = (Sgx.Perf.native_cycles p, Sgx.Perf.sgx_instructions p) in
-    let native_c = cycles ctx_n.Engarde.Policy.perf in
-    let ok =
-      res_n = res_v
-      && native_c = cycles ctx_v.Engarde.Policy.perf
-      && cycles ctx_n.Engarde.Policy.cfg_perf = cycles ctx_v.Engarde.Policy.cfg_perf
-    in
-    if not ok then incr failures;
-    let overhead = Sgx.Perf.total_cycles vm_perf in
-    let modelled = fst native_c in
-    Printf.printf "%-22s %16s %16s %6.2fx  %s\n" label (commas modelled)
-      (commas overhead)
-      (float_of_int (modelled + overhead) /. float_of_int (max 1 modelled))
-      (if ok then
-         if Engarde.Policy.all_compliant res_n then "identical (compliant)"
-         else "identical (violations)"
-       else "ENGINES DISAGREE")
-  in
-  List.iter
-    (fun bench ->
-      compare_engines (Workloads.to_string bench) (context_of bench both_variants))
-    Workloads.all;
-  List.iter
-    (fun adv ->
-      let img = Linker.link_adversarial adv in
-      let elf = Result.get_ok (Elf64.Reader.parse img.Linker.elf) in
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      compare_engines
-        ("adv/" ^ Workloads.adversarial_to_string adv)
-        (text.Elf64.Reader.data, text.Elf64.Reader.addr, elf.Elf64.Reader.symbols))
-    Workloads.adversarial_all;
-  if !failures > 0 then begin
-    Printf.printf "policy-oracle: %d workload(s) FAILED the differential\n" !failures;
-    exit 1
-  end;
-  print_endline "policy-oracle: DSL = native on every workload"
-
-(* ------------------------------------------------------------------ *)
 (* Smoke mode: reduced run with hard assertions (wired into `make       *)
 (* check` as bench-smoke)                                               *)
 (* ------------------------------------------------------------------ *)
@@ -786,13 +716,13 @@ let smoke () =
      metered separately and must stay within half the modelled cost. *)
   (let pre = context_of Workloads.Mcf Codegen.plain in
    let native =
-     let ctx = oracle_ctx pre in
+     let ctx = policy_ctx pre in
      expect_compliant (Engarde.Policy_libc.make ~db:(Lazy.force libc_db) ()) ctx;
      Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
    in
    let vm_perf = Sgx.Perf.create () in
    let vm =
-     let ctx = oracle_ctx pre in
+     let ctx = policy_ctx pre in
      let prog = Policyvm.Builtin.libc ~db:(Lazy.force libc_db) in
      expect_compliant (Policyvm.Vm.policy ~vm_perf prog) ctx;
      Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
@@ -983,10 +913,8 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | [] -> suite ()
   | [ "--smoke" ] -> smoke ()
-  (* Just the full DSL-vs-native differential (`make policy-oracle`). *)
-  | [ "--policy-oracle" ] -> policy_oracle ()
   (* One profiler-friendly parallel batch (`make profile`). *)
   | [ "--profile" ] -> profile ()
   | _ ->
-      prerr_endline "usage: main.exe [--smoke | --policy-oracle | --profile]";
+      prerr_endline "usage: main.exe [--smoke | --profile]";
       exit 2

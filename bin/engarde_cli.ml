@@ -2,16 +2,17 @@
 
    Subcommands:
      gen        synthesize an evaluation workload as an ELF file
-     inspect    disassemble + run policy modules on an ELF (no enclave)
+     inspect    the enclave's inspection on ELFs and benchmarks (no enclave)
      provision  run the full mutually-trusted provisioning protocol
      rewrite    instrument an unprotected binary into compliance
      measure    print the enclave measurement a client should expect
      cfg        recover per-function CFGs, summarize or export as DOT
-     lint       run the control-flow lint policy, fail on findings
+     callgraph  build the call graph and function summaries
      batch      run many inspection jobs through the service layer
      serve      demo the multiplexed inspection service front end
      fleet      run jobs across a mutually-attested inspector fleet
-     policy     compile/hash/run negotiated policy-VM programs *)
+     audit      checkpoint, prove and verify the verdict log
+     policy     compile/hash negotiated policy-VM programs *)
 
 open Cmdliner
 
@@ -130,10 +131,10 @@ let policy_file_arg =
 
 (* Decode custom blobs into runnable policies, or die with the decoder's
    reason — a blob the negotiation would reject should fail here too. *)
-let custom_policies files =
+let custom_policies ~vm_perf files =
   List.map
     (fun (name, blob) ->
-      match Policyvm.Vm.of_blob blob with
+      match Policyvm.Vm.of_blob ~vm_perf blob with
       | Ok p -> p
       | Error e ->
           Printf.eprintf "engarde: policy %s: %s\n" name e;
@@ -198,78 +199,102 @@ let legacy_channel_arg =
            EGREC1 streaming record layer (no pipelined inspection, no 0-RTT resumption). \
            Verdicts and modelled cycles are identical on both channels.")
 
+(* (label, elf bytes) for every synthesized --bench, then every ELF file *)
+let payload_sources benches elfs variant =
+  List.map
+    (fun b ->
+      let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
+      (Toolchain.Workloads.to_string b, img.Toolchain.Linker.elf))
+    benches
+  @ List.map (fun path -> (Filename.basename path, read_file path)) elfs
+
+let variant_arg =
+  Arg.(
+    value
+    & opt variant_conv Toolchain.Codegen.plain
+    & info [ "variant" ] ~docv:"VARIANT"
+        ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc, stack+ifcc.")
+
+(* The enclave's front half on one input, or the rejection it would
+   send; every charge lands on [report]. *)
+let examine ~what report raw =
+  match Engarde.Provision.examine report raw with
+  | Ok r -> r
+  | Error r ->
+      Printf.eprintf "engarde: %s: %s\n" what (Engarde.Provision.rejection_to_string r);
+      exit 1
+
 let inspect_cmd =
-  let run path policy_names policy_files =
-    let raw = read_file path in
-    match Elf64.Reader.parse raw with
-    | Error e ->
-        Printf.printf "REJECT (header): %s\n" (Elf64.Reader.error_to_string e);
-        exit 1
-    | Ok elf -> (
-        (match Engarde.Loader.check_page_separation elf with
-        | Ok () -> ()
-        | Error e ->
-            Printf.printf "REJECT (pages): %s\n" (Engarde.Loader.error_to_string e);
-            exit 1);
-        if Elf64.Reader.function_symbols elf = [] then begin
-          Printf.printf "REJECT: stripped binary (no symbol table)\n";
-          exit 1
-        end;
-        let text = List.hd (Elf64.Reader.text_sections elf) in
-        let perf = Sgx.Perf.create () in
-        match
-          Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-            ~symbols:elf.Elf64.Reader.symbols
-        with
-        | Error v ->
-            Printf.printf "REJECT (disassembly): %s\n" (X86.Nacl.violation_to_string v);
-            exit 1
-        | Ok (buffer, symbols) ->
-            Printf.printf "disassembled %d instructions (%d modelled cycles)\n"
-              (Array.length buffer.Engarde.Disasm.entries)
-              (Sgx.Perf.total_cycles perf);
-            let analysis_perf = Sgx.Perf.create () in
-            let cfg_perf = Sgx.Perf.create () in
-            let callgraph_perf = Sgx.Perf.create () in
-            let summary_perf = Sgx.Perf.create () in
-            let ctx =
-              Engarde.Policy.context ~analysis_perf ~cfg_perf ~callgraph_perf
-                ~summary_perf ~perf:(Sgx.Perf.create ()) buffer symbols
-            in
-            let results =
-              Engarde.Policy.run_all ctx
-                (policies_of_names policy_names @ custom_policies policy_files)
-            in
-            List.iter
-              (fun (name, v) ->
-                (match v with
-                | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
-                | Engarde.Policy.Violations fs ->
-                    Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
-                    List.iter
-                      (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-                      fs))
-              results;
-            Printf.printf "analysis index: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles analysis_perf);
-            Printf.printf "cfg recovery: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles cfg_perf);
-            Printf.printf "callgraph construction: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles callgraph_perf);
-            Printf.printf "function summaries: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles summary_perf);
-            Printf.printf "policy checking: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles analysis_perf
-              + Sgx.Perf.total_cycles cfg_perf
-              + Sgx.Perf.total_cycles callgraph_perf
-              + Sgx.Perf.total_cycles summary_perf
-              + Sgx.Perf.total_cycles ctx.Engarde.Policy.perf);
-            if not (Engarde.Policy.all_compliant results) then exit 1)
+  let elfs =
+    Arg.(value & pos_all file [] & info [] ~docv:"ELF" ~doc:"Executable to inspect. Repeatable.")
+  in
+  let benches =
+    Arg.(
+      value
+      & opt_all bench_conv []
+      & info [ "b"; "bench" ] ~docv:"BENCH"
+          ~doc:"Inspect this synthesized benchmark. Repeatable.")
+  in
+  let run elfs benches variant policy_names policy_files =
+    let sources = payload_sources benches elfs variant in
+    if sources = [] then begin
+      prerr_endline "inspect: no inputs; pass ELF files and/or --bench";
+      exit 2
+    end;
+    let judge (what, raw) =
+      let report = Engarde.Report.create () in
+      match Engarde.Provision.examine report raw with
+      | Error r ->
+          Printf.printf "%s: REJECT: %s\n" what (Engarde.Provision.rejection_to_string r);
+          false
+      | Ok (_, ctx) ->
+          let vm_perf = Sgx.Perf.create () in
+          let results =
+            Engarde.Policy.run_all ctx
+              (policies_of_names policy_names @ custom_policies ~vm_perf policy_files)
+          in
+          let row = Engarde.Report.row ~benchmark:what report in
+          Printf.printf "%s: disassembled %d instructions (%d modelled cycles)\n" what
+            row.Engarde.Report.n_instructions row.Engarde.Report.disassembly_cycles;
+          List.iter
+            (fun (name, v) ->
+              match v with
+              | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
+              | Engarde.Policy.Violations fs ->
+                  Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
+                  List.iter
+                    (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
+                    fs)
+            results;
+          Printf.printf "analysis index: %d modelled cycles\n" row.Engarde.Report.analysis_cycles;
+          Printf.printf "cfg recovery: %d modelled cycles\n" row.Engarde.Report.cfg_cycles;
+          Printf.printf "callgraph construction: %d modelled cycles\n"
+            row.Engarde.Report.callgraph_cycles;
+          Printf.printf "function summaries: %d modelled cycles\n"
+            row.Engarde.Report.summary_cycles;
+          Printf.printf "policy checking: %d modelled cycles\n" row.Engarde.Report.policy_cycles;
+          if policy_files <> [] then
+            Printf.printf "interpreter overhead: %d cycles (separate stream)\n"
+              (Sgx.Perf.total_cycles vm_perf);
+          Engarde.Policy.all_compliant results
+    in
+    let failed = List.length (List.filter (fun src -> not (judge src)) sources) in
+    if failed > 0 then begin
+      if List.length sources > 1 then
+        Printf.printf "\n%d of %d input(s) rejected or non-compliant\n" failed
+          (List.length sources);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "inspect"
-       ~doc:"Disassemble an ELF and run policy modules on it (static, no enclave).")
-    Term.(const run $ elf_arg $ policy_arg $ policy_file_arg)
+       ~doc:
+         "Run the enclave's inspection on ELF files and synthesized benchmarks (static, no \
+          enclave): the same header, stripped-binary, page-separation and single-text \
+          checks, disassembly and policy modules as provisioning, with the same verdicts, \
+          findings and modelled cycles. Exits 1 if any input is rejected or non-compliant. \
+          With $(b,--policy-file) the VM's interpreter overhead is reported separately.")
+    Term.(const run $ elfs $ benches $ variant_arg $ policy_arg $ policy_file_arg)
 
 (* --- provision --- *)
 
@@ -379,50 +404,7 @@ let measure_cmd =
           the given policy set.")
     Term.(const run $ policy_arg)
 
-(* --- cfg + lint: the flow-sensitive surface --- *)
-
-let disasm_payload ~what raw =
-  match Elf64.Reader.parse raw with
-  | Error e ->
-      Printf.eprintf "engarde: %s: %s\n" what (Elf64.Reader.error_to_string e);
-      exit 1
-  | Ok elf -> (
-      match Elf64.Reader.text_sections elf with
-      | [] ->
-          Printf.eprintf "engarde: %s: no text section\n" what;
-          exit 1
-      | text :: _ -> (
-          match
-            Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-              ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-          with
-          | Error v ->
-              Printf.eprintf "engarde: %s: disassembly: %s\n" what
-                (X86.Nacl.violation_to_string v);
-              exit 1
-          | Ok (buffer, symbols) -> (buffer, symbols)))
-
-(* (label, elf bytes) for every --elf file and synthesized --bench *)
-let payload_sources elfs benches variant =
-  List.map (fun path -> (Filename.basename path, read_file path)) elfs
-  @ List.map
-      (fun b ->
-        let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
-        (Toolchain.Workloads.to_string b, img.Toolchain.Linker.elf))
-      benches
-
-let variant_arg =
-  Arg.(
-    value
-    & opt variant_conv Toolchain.Codegen.plain
-    & info [ "variant" ] ~docv:"VARIANT"
-        ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc, stack+ifcc.")
-
-let elf_files_arg =
-  Arg.(
-    value
-    & opt_all file []
-    & info [ "elf" ] ~docv:"FILE" ~doc:"Inspect this ELF file. Repeatable.")
+(* --- cfg + callgraph: the flow-sensitive and interprocedural surface --- *)
 
 let cfg_cmd =
   let elf_pos =
@@ -461,9 +443,8 @@ let cfg_cmd =
           prerr_endline "cfg: pass exactly one of ELF or --bench";
           exit 2
     in
-    let buffer, symbols = disasm_payload ~what raw in
-    let cfg_perf = Sgx.Perf.create () in
-    let ctx = Engarde.Policy.context ~cfg_perf ~perf:(Sgx.Perf.create ()) buffer symbols in
+    let report = Engarde.Report.create () in
+    let _, ctx = examine ~what report raw in
     let idx = ctx.Engarde.Policy.index in
     let funcs =
       let all = Array.to_list idx.Engarde.Analysis.functions in
@@ -498,7 +479,8 @@ let cfg_cmd =
               (Array.length cfg.Engarde.Cfg.blocks)
               cfg.Engarde.Cfg.n_edges unreachable)
       funcs;
-    Printf.printf "\ncfg recovery: %d modelled cycles\n" (Sgx.Perf.total_cycles cfg_perf);
+    Printf.printf "\ncfg recovery: %d modelled cycles\n"
+      (Sgx.Perf.total_cycles report.Engarde.Report.cfg);
     match dot_out with
     | None -> ()
     | Some path -> (
@@ -506,7 +488,7 @@ let cfg_cmd =
         | Some _, [ f ] -> (
             match Engarde.Policy.cfg_of ctx f with
             | Some cfg ->
-                write_file path (Engarde.Cfg.to_dot cfg buffer);
+                write_file path (Engarde.Cfg.to_dot cfg ctx.Engarde.Policy.buffer);
                 Printf.printf "dot -> %s\n" path
             | None ->
                 Printf.eprintf "engarde: %s has no code to export\n"
@@ -560,13 +542,8 @@ let callgraph_cmd =
           prerr_endline "callgraph: pass exactly one of ELF or --bench";
           exit 2
     in
-    let buffer, symbols = disasm_payload ~what raw in
-    let callgraph_perf = Sgx.Perf.create () in
-    let summary_perf = Sgx.Perf.create () in
-    let ctx =
-      Engarde.Policy.context ~callgraph_perf ~summary_perf ~perf:(Sgx.Perf.create ())
-        buffer symbols
-    in
+    let report = Engarde.Report.create () in
+    let _, ctx = examine ~what report raw in
     let cg = Engarde.Policy.callgraph_of ctx in
     let fns = cg.Engarde.Callgraph.index.Engarde.Analysis.functions in
     Printf.printf "%-32s %10s %4s %4s %4s %9s\n" "function" "addr" "scc" "out" "in"
@@ -611,10 +588,10 @@ let callgraph_cmd =
                 (if s.Engarde.Summary.s_returns then "yes" else "no"))
         cg.Engarde.Callgraph.bottom_up;
       Printf.printf "\nfunction summaries: %d modelled cycles\n"
-        (Sgx.Perf.total_cycles summary_perf)
+        (Sgx.Perf.total_cycles report.Engarde.Report.summary)
     end;
     Printf.printf "callgraph construction: %d modelled cycles\n"
-      (Sgx.Perf.total_cycles callgraph_perf);
+      (Sgx.Perf.total_cycles report.Engarde.Report.callgraph);
     match dot_out with
     | None -> ()
     | Some path ->
@@ -628,49 +605,6 @@ let callgraph_cmd =
           direct/indirect/tail/jump-into edges, SCC condensation, bottom-up order, and \
           optionally the per-function dataflow summaries, exporting Graphviz DOT.")
     Term.(const run $ elf_pos $ bench $ variant_arg $ dot_out $ summaries)
-
-let lint_cmd =
-  let benches =
-    Arg.(
-      value
-      & opt_all bench_conv []
-      & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Lint this synthesized benchmark. Repeatable.")
-  in
-  let run elfs benches variant =
-    let sources = payload_sources elfs benches variant in
-    if sources = [] then begin
-      prerr_endline "lint: no inputs; pass ELF files with --elf and/or --bench";
-      exit 2
-    end;
-    let total =
-      List.fold_left
-        (fun total (what, raw) ->
-          let buffer, symbols = disasm_payload ~what raw in
-          let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
-          match (Engarde.Policy_lint.make ()).Engarde.Policy.check ctx with
-          | Engarde.Policy.Compliant ->
-              Printf.printf "%-14s clean\n" what;
-              total
-          | Engarde.Policy.Violations fs ->
-              Printf.printf "%-14s %d finding(s)\n" what (List.length fs);
-              List.iter
-                (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-                fs;
-              total + List.length fs)
-        0 sources
-    in
-    if total > 0 then begin
-      Printf.printf "\n%d lint finding(s)\n" total;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the control-flow lint policy (unreachable blocks, branches into the middle \
-          of instructions, computed jumps outside IFCC tables, fallthrough off a function \
-          end) and fail if anything is flagged.")
-    Term.(const run $ elf_files_arg $ benches $ variant_arg)
 
 (* --- service layer: batch + serve --- *)
 
@@ -712,40 +646,24 @@ let service_config ?(audit = false) ?(legacy = false) ~workers ~queue ~no_cache 
     channel = (if legacy then `Legacy else `Streaming);
   }
 
-(* --- sealed service state on disk ---------------------------------
-
-   The sealed blob itself is host-storable by design; the monotonic
-   counter, NVRAM on real hardware, is modelled as a sidecar file the
-   platform (not the service) maintains. *)
-
-let counter_path state = state ^ ".ctr"
-
-let restore_counter device t state =
-  match
-    if Sys.file_exists (counter_path state) then
-      int_of_string_opt (String.trim (read_file (counter_path state)))
-    else None
-  with
-  | Some v -> Sgx.Quote.counter_restore device ~id:(Service.Scheduler.state_counter_id t) v
-  | None -> ()
+(* --- sealed service state on disk (Service.State_file) --- *)
 
 let load_service_state device t state =
-  if Sys.file_exists state then begin
-    restore_counter device t state;
-    match Service.Scheduler.load_state t ~device (read_file state) with
-    | Ok (log_n, cache_n) ->
-        Printf.printf "warm start from %s: %d audit leaves, %d cached verdicts restored\n\n"
-          state log_n cache_n
-    | Error e ->
-        Printf.eprintf "engarde: cannot load %s: %s\n" state (Audit.Seal.error_to_string e);
-        exit 1
-  end
+  match Service.State_file.load t ~device state with
+  | Ok Service.State_file.Cold -> Printf.printf "cold start: no sealed state at %s\n\n" state
+  | Ok (Service.State_file.Warm { counter; rolled_forward; log_leaves; cache_entries }) ->
+      Printf.printf "warm start from %s: %d audit leaves, %d cached verdicts restored%s\n\n"
+        state log_leaves cache_entries
+        (if rolled_forward then
+           Printf.sprintf " (counter rolled forward to %d: the last save was cut before its \
+                           counter was written)" counter
+         else "")
+  | Error e ->
+      Printf.eprintf "engarde: cannot load %s: %s\n" state (Audit.Seal.error_to_string e);
+      exit 1
 
 let save_service_state device t state =
-  write_file state (Service.Scheduler.save_state t ~device);
-  write_file (counter_path state)
-    (string_of_int
-       (Sgx.Quote.counter_read device ~id:(Service.Scheduler.state_counter_id t)));
+  Service.State_file.save t ~device state;
   let audit_note =
     match Service.Scheduler.audit_log t with
     | Some log ->
@@ -864,6 +782,15 @@ let elf_jobs_arg =
     & opt_all file []
     & info [ "elf" ] ~docv:"FILE" ~doc:"Submit this ELF file as a job. Repeatable.")
 
+(* [repeat] rounds of one job per --bench and --elf input. *)
+let job_list benches elfs variant ~repeat policy_names =
+  let one_round =
+    List.map
+      (fun (client, payload) -> { Service.Scheduler.client; payload; policy_names })
+      (payload_sources benches elfs variant)
+  in
+  List.concat (List.init repeat (fun _ -> one_round))
+
 let print_completions completions =
   Printf.printf "%-4s %-14s %5s %-4s %3s %16s  %s\n" "#" "client" "hit" "try" "ok"
     "cycles" "verdict";
@@ -911,34 +838,7 @@ let batch_cmd =
       exit 2
     end;
     let policy_names = policy_names @ List.map fst policy_files in
-    let built = Hashtbl.create 8 in
-    let payload_of_bench b =
-      match Hashtbl.find_opt built b with
-      | Some p -> p
-      | None ->
-          let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
-          Hashtbl.add built b img.Toolchain.Linker.elf;
-          img.Toolchain.Linker.elf
-    in
-    let one_round =
-      List.map
-        (fun b ->
-          {
-            Service.Scheduler.client = Toolchain.Workloads.to_string b;
-            payload = payload_of_bench b;
-            policy_names;
-          })
-        benches
-      @ List.map
-          (fun path ->
-            {
-              Service.Scheduler.client = Filename.basename path;
-              payload = read_file path;
-              policy_names;
-            })
-          elfs
-    in
-    let jobs = List.concat (List.init repeat (fun _ -> one_round)) in
+    let jobs = job_list benches elfs variant ~repeat policy_names in
     let audit = audit_on || state <> None in
     let config =
       {
@@ -954,15 +854,7 @@ let batch_cmd =
           let t = Service.Scheduler.create config in
           let device = Sgx.Quote.device_create ~seed:device_seed in
           Option.iter (load_service_state device t) state;
-          List.iter
-            (fun j ->
-              match Service.Scheduler.submit t j with
-              | Ok _ -> ()
-              | Error why ->
-                  Printf.printf "job for %s rejected at admission: %s\n"
-                    j.Service.Scheduler.client why)
-            jobs;
-          let completions = Service.Scheduler.run_until_idle t in
+          let completions = Service.Scheduler.batch t jobs in
           let dt = Unix.gettimeofday () -. t0 in
           print_completions completions;
           let jc = Service.Metrics.job_counts (Service.Scheduler.metrics t) in
@@ -1137,34 +1029,7 @@ let fleet_cmd =
       prerr_endline "fleet: no jobs; pass --bench and/or --elf";
       exit 2
     end;
-    let built = Hashtbl.create 8 in
-    let payload_of_bench b =
-      match Hashtbl.find_opt built b with
-      | Some p -> p
-      | None ->
-          let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
-          Hashtbl.add built b img.Toolchain.Linker.elf;
-          img.Toolchain.Linker.elf
-    in
-    let one_round =
-      List.map
-        (fun b ->
-          {
-            Service.Scheduler.client = Toolchain.Workloads.to_string b;
-            payload = payload_of_bench b;
-            policy_names;
-          })
-        benches
-      @ List.map
-          (fun path ->
-            {
-              Service.Scheduler.client = Filename.basename path;
-              payload = read_file path;
-              policy_names;
-            })
-          elfs
-    in
-    let jobs = List.concat (List.init repeat (fun _ -> one_round)) in
+    let jobs = job_list benches elfs variant ~repeat policy_names in
     let node_config =
       service_config ~audit:true ~workers ~queue ~no_cache:false ~fast ~timeout ()
     in
@@ -1456,12 +1321,12 @@ let audit_cmd =
           inclusion proofs, and offline verification.")
     [ audit_checkpoint_cmd; audit_prove_cmd; audit_verify_cmd ]
 
-(* --- policy: compile / hash / run ---------------------------------
+(* --- policy: compile / hash ----------------------------------------
    The negotiated-VM workflow: policies are measured data. [compile]
-   emits a builtin's canonical blob, [hash] prints program and
-   policy-set digests (exactly what gets measured into the judging
-   enclave), [run] interprets a blob against a binary without any
-   enclave or service. *)
+   emits a builtin's DSL transcription as a canonical blob, the starting
+   point for a custom program; [hash] prints program and policy-set
+   digests (exactly what gets measured into the judging enclave).
+   [inspect --policy-file] runs a blob against a binary. *)
 
 let policy_compile_cmd =
   let name_arg =
@@ -1475,7 +1340,7 @@ let policy_compile_cmd =
       & info [] ~docv:"NAME"
           ~doc:"Builtin to compile: libc, stack, ifcc, lint or sanitize. (The \
                 *-pattern baselines and *-interproc depth variants have no DSL \
-                form; they negotiate as native markers.)")
+                form.)")
   in
   let output =
     Arg.(
@@ -1498,8 +1363,11 @@ let policy_compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Emit a builtin policy's canonical VM blob — the negotiable, measurable \
-          form a client and provider agree on.")
+         "Emit the DSL transcription of a builtin policy as a canonical VM blob: the \
+          starting point for a custom program, which a provider configures and a client \
+          negotiates with $(b,--policy-file). Builtins themselves negotiate as native \
+          markers and run natively; this blob judges exactly as the builtin does, but \
+          its digest is not the builtin's.")
     Term.(const run $ name_arg $ output)
 
 let policy_hash_cmd =
@@ -1529,66 +1397,14 @@ let policy_hash_cmd =
           over the channel, recorded in audit leaves and folded into cache keys.")
     Term.(const run $ policy_arg $ policy_file_arg)
 
-let policy_run_cmd =
-  let blob_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BLOB" ~doc:"Canonical policy program blob to interpret.")
-  in
-  let elf_pos =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"ELF" ~doc:"Executable to run the program against.")
-  in
-  let run blob_path elf_path =
-    let vm_perf = Sgx.Perf.create () in
-    let policy =
-      match Policyvm.Vm.of_blob ~vm_perf (read_file blob_path) with
-      | Ok p -> p
-      | Error e ->
-          Printf.eprintf "engarde: %s: %s\n" blob_path e;
-          exit 2
-    in
-    let buffer, symbols =
-      disasm_payload ~what:(Filename.basename elf_path) (read_file elf_path)
-    in
-    let perf = Sgx.Perf.create () in
-    let cfg_perf = Sgx.Perf.create () in
-    let ctx = Engarde.Policy.context ~cfg_perf ~perf buffer symbols in
-    let results = Engarde.Policy.run_all ctx [ policy ] in
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
-        | Engarde.Policy.Violations fs ->
-            Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
-            List.iter
-              (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-              fs)
-      results;
-    Printf.printf "modelled policy cycles: %d (+%d cfg)\n"
-      (Sgx.Perf.total_cycles perf) (Sgx.Perf.total_cycles cfg_perf);
-    Printf.printf "interpreter overhead:   %d cycles (separate stream)\n"
-      (Sgx.Perf.total_cycles vm_perf);
-    if not (Engarde.Policy.all_compliant results) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Interpret a policy blob against an ELF (static, no enclave): the verdict \
-          and modelled cycles are exactly what the provisioning pipeline would \
-          charge; interpreter overhead is metered separately.")
-    Term.(const run $ blob_arg $ elf_pos)
-
 let policy_cmd =
   Cmd.group
     (Cmd.info "policy"
        ~doc:
-         "The negotiated policy VM: compile builtins to canonical blobs, hash \
-          negotiated policy sets, and run programs directly.")
-    [ policy_compile_cmd; policy_hash_cmd; policy_run_cmd ]
+         "The negotiated policy VM: compile builtins' DSL transcriptions to canonical \
+          blobs and hash negotiated policy sets. Run a blob with $(b,inspect \
+          --policy-file).")
+    [ policy_compile_cmd; policy_hash_cmd ]
 
 let () =
   let doc = "EnGarde: mutually-trusted inspection of SGX enclaves (reproduction)" in
@@ -1603,7 +1419,6 @@ let () =
             measure_cmd;
             cfg_cmd;
             callgraph_cmd;
-            lint_cmd;
             batch_cmd;
             serve_cmd;
             fleet_cmd;

@@ -13,24 +13,21 @@
 let stack_policy () = Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names ()
 let db = Toolchain.Libc.hash_db Toolchain.Libc.V1_0_5
 
+(* The enclave's own front half: the same checks, disassembly and
+   analysis context provisioning would judge with. *)
 let inspect label raw =
-  let elf = Result.get_ok (Elf64.Reader.parse raw) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
+  let report = Engarde.Report.create () in
+  let _, ctx =
+    match Engarde.Provision.examine report raw with
+    | Ok r -> r
+    | Error r -> failwith (Engarde.Provision.rejection_to_string r)
   in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
-  Printf.printf "%s: %d instructions, %d bytes of text\n" label
-    (Array.length buffer.Engarde.Disasm.entries)
-    (String.length text.Elf64.Reader.data);
+  Printf.printf "%s: %d instructions\n" label report.Engarde.Report.instructions;
   List.iter
     (fun (name, v) ->
       Printf.printf "  %-20s %s\n" name (Engarde.Policy.verdict_to_string v))
     (Engarde.Policy.run_all ctx
-       [ stack_policy (); Engarde.Policy_libc.make ~db () ]);
-  ctx
+       [ stack_policy (); Engarde.Policy_libc.make ~db () ])
 
 let () =
   print_endline "Retrofit: rewriting a rejected binary into compliance";
@@ -39,7 +36,7 @@ let () =
     Toolchain.Linker.link (Toolchain.Workloads.build Toolchain.Codegen.plain
                              Toolchain.Workloads.Mcf)
   in
-  let _ = inspect "original (no canaries)" img.Toolchain.Linker.elf in
+  inspect "original (no canaries)" img.Toolchain.Linker.elf;
   print_newline ();
   print_endline "... rewriting: lift to IR, insert canaries, re-link ...";
   print_newline ();
@@ -49,7 +46,7 @@ let () =
   with
   | Error e -> failwith (Engarde.Rewrite.error_to_string e)
   | Ok rewritten ->
-      let _ = inspect "rewritten" rewritten in
+      inspect "rewritten" rewritten;
       Printf.printf "\nsize: %d -> %d bytes of ELF\n"
         (String.length img.Toolchain.Linker.elf)
         (String.length rewritten);

@@ -246,6 +246,48 @@ type staged = {
   stats : channel_stats option;  (* record-channel counters *)
 }
 
+(* The front half of inspection: from the file's bytes to the context
+   the policy modules judge. *)
+let examine report file =
+  let ( let* ) = Result.bind in
+  (* --- header validation --- *)
+  let* elf =
+    Result.map_error
+      (fun e -> Bad_elf (Elf64.Reader.error_to_string e))
+      (Elf64.Reader.parse file)
+  in
+  let* () = if Elf64.Reader.function_symbols elf = [] then Error Stripped_binary else Ok () in
+  let* () =
+    Result.map_error
+      (fun e -> Mixed_pages (Loader.error_to_string e))
+      (Loader.check_page_separation elf)
+  in
+  (* --- disassembly --- *)
+  let* text =
+    match Elf64.Reader.text_sections elf with
+    | [ t ] -> Ok t
+    | [] -> Error (Bad_elf "no executable section")
+    | _ -> Error (Bad_elf "multiple text sections unsupported")
+  in
+  (* The text bytes are copied once into an off-heap buffer; decoding,
+     policy scans and function hashing all read it in place, so the
+     multi-MB section never lives on the shared OCaml heap where
+     parallel domains would pay GC tracing for it. *)
+  let text_big = Elf64.Buf.Big.of_string text.Elf64.Reader.data in
+  let* buffer, symbols =
+    Result.map_error
+      (fun v -> Disassembly_failed (X86.Nacl.violation_to_string v))
+      (Disasm.run_src report.Report.disassembly ~src:(X86.Decoder.Big text_big)
+         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
+  in
+  report.Report.instructions <- Array.length buffer.Disasm.entries;
+  (* --- the shared analysis the policy modules read --- *)
+  Ok
+    ( elf,
+      Policy.context ~analysis_perf:report.Report.analysis ~cfg_perf:report.Report.cfg
+        ~callgraph_perf:report.Report.callgraph ~summary_perf:report.Report.summary
+        ~perf:report.Report.policy buffer symbols )
+
 (* Everything from "the whole file is staged" to "loaded or rejected".
    BOTH channels run exactly this code with exactly these charges.
    The declared length is checked against the staged extent before
@@ -257,43 +299,8 @@ let inspect c ~report ~enclave ~host ~policies ~on_event
   let file = Sgx.Enclave.read enclave ~vaddr:(staging_base c) ~len:total_len in
   if Crypto.Sha256.digest file <> digest then
     tampered "payload digest mismatch";
-  (* --- header validation --- *)
-  let elf =
-    match Elf64.Reader.parse file with
-    | Ok elf -> elf
-    | Error e -> raise (Reject (Bad_elf (Elf64.Reader.error_to_string e)))
-  in
-  if Elf64.Reader.function_symbols elf = [] then raise (Reject Stripped_binary);
-  (match Loader.check_page_separation elf with
-  | Ok () -> ()
-  | Error e -> raise (Reject (Mixed_pages (Loader.error_to_string e))));
-  (* --- disassembly --- *)
-  let text =
-    match Elf64.Reader.text_sections elf with
-    | [ t ] -> t
-    | [] -> raise (Reject (Bad_elf "no executable section"))
-    | _ -> raise (Reject (Bad_elf "multiple text sections unsupported"))
-  in
-  (* The text bytes are copied once into an off-heap buffer; decoding,
-     policy scans and function hashing all read it in place, so the
-     multi-MB section never lives on the shared OCaml heap where
-     parallel domains would pay GC tracing for it. *)
-  let text_big = Elf64.Buf.Big.of_string text.Elf64.Reader.data in
-  let buffer, symbols =
-    match
-      Disasm.run_src report.Report.disassembly ~src:(X86.Decoder.Big text_big)
-        ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-    with
-    | Ok r -> r
-    | Error v -> raise (Reject (Disassembly_failed (X86.Nacl.violation_to_string v)))
-  in
-  report.Report.instructions <- Array.length buffer.Disasm.entries;
+  let elf, ctx = match examine report file with Ok r -> r | Error r -> raise (Reject r) in
   (* --- policy modules --- *)
-  let ctx =
-    Policy.context ~analysis_perf:report.Report.analysis ~cfg_perf:report.Report.cfg
-      ~callgraph_perf:report.Report.callgraph ~summary_perf:report.Report.summary
-      ~perf:report.Report.policy buffer symbols
-  in
   on_event Policy_phase;
   let policy_results = Policy.run_all ctx policies in
   if not (Policy.all_compliant policy_results) then

@@ -48,6 +48,17 @@ type rejection =
 
 val rejection_to_string : rejection -> string
 
+val examine : Report.t -> string -> (Elf64.Reader.t * Policy.context, rejection) result
+(** The inspector's front half, exactly as {!run} judges a staged file:
+    parse and validate the header, reject a stripped binary, reject
+    mixed code/data pages, require exactly one executable section,
+    disassemble it under the NaCl constraints from an off-heap copy,
+    and build the shared analysis context the policy modules read.
+    Every cycle lands on [report] ([instructions], [disassembly], and
+    the context's analysis, CFG, call-graph, summary and policy
+    streams), so a caller that runs policies on the context gets the
+    enclave's verdicts and charges without the enclave. *)
+
 type channel = [ `Legacy | `Streaming ]
 (** Which transfer flavor carries the payload: the paper-faithful
     [Code_block] channel, or the EGREC1 streaming record layer with

@@ -96,26 +96,25 @@ let known_policies =
     "stack-interproc"; "ifcc-interproc";
   ]
 
-let vm_builtins = [ "libc"; "stack"; "ifcc"; "lint"; "sanitize" ]
-
-(* Canonical blobs for the negotiated program set. The five flow
-   policies travel as real VM programs. The pattern-mode baselines have
-   no DSL transcription (their quadratic window scans are what the flow
-   policies exist to replace), and the interprocedural depth variants
-   deliberately stay native until the call-graph fact interface is
-   stable enough to freeze into the wire format — so each contributes
-   an opaque native marker: the negotiated digest still commits to
-   their selection, and the scheduler executes them natively. *)
+(* Every builtin negotiates as an opaque native marker: the negotiated
+   digest commits to the selection and the scheduler runs the native
+   module. The libc marker also carries the SHA-256 of the reference
+   hash database it judges against, so a database rollover changes the
+   digest, and with it the judging enclave's measurement. The stack
+   policy's exemption list is a constant of the inspector and needs no
+   binding. *)
 let native_marker name = "EGNATIVE1\x00" ^ name
 
-let builtin_programs ~db =
-  Policyvm.Builtin.all ~db ~exempt:Toolchain.Libc.function_names
+let db_digest db =
+  let field s = Printf.sprintf "%d:%s," (String.length s) s in
+  Crypto.Sha256.digest (String.concat "" (List.map (fun (n, h) -> field n ^ field h) db))
 
 let builtin_blobs ~db =
-  List.map (fun (n, p) -> (n, Policyvm.Encode.to_bytes p)) (builtin_programs ~db)
-  @ List.map
-      (fun n -> (n, native_marker n))
-      [ "stack-pattern"; "ifcc-pattern"; "stack-interproc"; "ifcc-interproc" ]
+  let marker = function
+    | "libc" -> native_marker "libc" ^ "\x00" ^ db_digest db
+    | n -> native_marker n
+  in
+  List.map (fun n -> (n, marker n)) known_policies
 
 let policies_of_names ~db names =
   let rec go acc = function
@@ -173,7 +172,6 @@ type worker_state =
 type t = {
   cfg : config;
   db : (string * string) list lazy_t;  (* reference libc hash database *)
-  vm_progs : (string * Policyvm.Prog.t) list lazy_t;  (* builtin DSL programs *)
   blobs : (string * string) list lazy_t;  (* negotiable (name, blob) registry *)
   libc_db_version : string;
   queue : active Queue.t;
@@ -217,7 +215,6 @@ let create (cfg : config) =
   {
     cfg;
     db;
-    vm_progs = lazy (builtin_programs ~db:(Lazy.force db));
     blobs = lazy (builtin_blobs ~db:(Lazy.force db) @ cfg.programs);
     libc_db_version = Toolchain.Libc.version_to_string cfg.libc_db;
     queue = Queue.create ~capacity:cfg.queue_capacity;
@@ -249,21 +246,16 @@ let programs_digest t names = Channel.Session.policy_set_digest (program_set t n
 
 let negotiable t = known_policies @ List.map fst t.cfg.programs
 
-(* One policy instance for one attempt. The five flow builtins and
-   custom programs run on the VM; the pattern-mode baselines and the
-   interprocedural depth variants run as native modules. *)
+(* One policy instance for one attempt: a native module for every
+   builtin, the VM for the provider's custom programs. *)
 let policy_for t name =
-  if List.mem name vm_builtins then Policyvm.Vm.policy (List.assoc name (Lazy.force t.vm_progs))
-  else if List.mem name known_policies then begin
-    match policies_of_names ~db:(Lazy.force t.db) [ name ] with
-    | Ok [ p ] -> p
-    | Ok _ | Error _ -> invalid_arg ("Service.Scheduler: unknown policy " ^ name)
-  end
-  else begin
-    match Policyvm.Vm.of_blob (List.assoc name (Lazy.force t.blobs)) with
-    | Ok p -> p
-    | Error e -> invalid_arg (Printf.sprintf "Service.Scheduler: program %S: %s" name e)
-  end
+  match policies_of_names ~db:(Lazy.force t.db) [ name ] with
+  | Ok [ p ] -> p
+  | Ok _ | Error _ -> (
+      match Policyvm.Vm.of_blob (List.assoc name t.cfg.programs) with
+      | Ok p -> p
+      | Error e -> invalid_arg (Printf.sprintf "Service.Scheduler: program %S: %s" name e))
+
 let cache_stats t = Option.map Cache.stats t.cache
 let queue_stats t = Queue.stats t.queue
 let audit_log t = t.audit_log
@@ -652,8 +644,7 @@ let run_until_idle ?(max_ticks = 1_000_000) t =
 let report t =
   Metrics.render t.metrics ~queue:(Queue.stats t.queue) ~cache:(cache_stats t)
 
-let batch ?(config = default_config) jobs =
-  let t = create config in
+let batch t jobs =
   let rejected = ref [] in
   let pending = ref jobs in
   let feed () =

@@ -68,8 +68,8 @@ type config = {
           blob)] — the point of the VM: a new check is service data,
           not a recompile. Names must not shadow builtins and blobs
           must decode ({!Engarde}-independent: {!create} raises
-          [Invalid_argument] otherwise). Custom programs always run on
-          the VM. *)
+          [Invalid_argument] otherwise). Custom programs are the only
+          ones the VM runs. *)
   provision : Engarde.Provision.config;
       (** template; [policy_names] is overridden per job so the
           measurement binds each job's agreed policy set *)
@@ -124,24 +124,27 @@ val known_policies : string list
 (** The builtin policy names every scheduler accepts: "libc", "stack",
     "ifcc", "lint", "sanitize", plus the paper-baseline
     "stack-pattern" / "ifcc-pattern" peephole modes and the
-    summary-driven "stack-interproc" / "ifcc-interproc" depth variants
-    (these four run natively; their scans and call-graph facts are not
-    yet frozen into the VM wire format). (The library also ships a
-    [Policy_malware] module, but it needs a caller-supplied signature
-    database and is deliberately not name-addressable here.) *)
+    summary-driven "stack-interproc" / "ifcc-interproc" depth variants.
+    Every builtin runs as its native module and negotiates as an
+    ["EGNATIVE1"] marker; the libc marker also carries the SHA-256 of
+    the reference hash database, so [libc_db] is part of its digest.
+    (The library also ships a [Policy_malware] module, but it needs a
+    caller-supplied signature database and is deliberately not
+    name-addressable here.) *)
 
 val policies_of_names :
   db:(string * string) list -> string list -> (Engarde.Policy.t list, string) result
 (** Instantiate native policy modules from their agreed names (the
-    {!known_policies} set); [Error] names the first unknown policy. *)
+    {!known_policies} set); [Error] names the first unknown policy. The
+    scheduler builds every builtin it runs through this function. *)
 
 type t
 
 val program_set : t -> string list -> (string * string) list
 (** The negotiated program set for a policy-name list: sorted-unique
-    names paired with their canonical blobs (builtin DSL programs,
-    native markers for the pattern baselines, configured custom
-    programs). Raises [Not_found] on a name {!submit} would reject. *)
+    names paired with their canonical blobs (native markers for the
+    builtins, configured custom programs). Raises [Not_found] on a name
+    {!submit} would reject. *)
 
 val programs_digest : t -> string list -> string
 (** {!Channel.Session.policy_set_digest} of {!program_set} — what gets
@@ -219,12 +222,15 @@ val drain_completions : t -> completion list
 val run_until_idle : ?max_ticks:int -> t -> completion list
 (** Tick until no work remains, then drain. *)
 
-val batch : ?config:config -> job list -> completion list
-(** Run a whole job list to completion on a fresh scheduler, feeding
-    the queue as space frees up (no backpressure rejections; admission
-    validation still applies). Completions come back in submission
-    order, so the result is reproducible regardless of [workers] — same
-    inputs, same verdicts. *)
+val batch : t -> job list -> completion list
+(** Run a whole job list to completion on [t], feeding the queue as
+    space frees up: no job is refused for a full queue, whatever its
+    capacity (admission validation still applies, and a job it refuses
+    comes back as a [Rejected] completion). Completions come back in
+    submission order, so the result is reproducible regardless of
+    [workers] — same inputs, same verdicts. Running on a caller's
+    scheduler lets a warm start ({!load_state}), the report and a
+    final {!save_state} all see the same state. *)
 
 val report : t -> string
 (** The metrics registry rendered with current queue and cache stats. *)

@@ -453,6 +453,111 @@ let sealed_warm_restart () =
   | l -> Alcotest.failf "expected one completion, got %d" (List.length l));
   Alcotest.(check int) "the restored log grew" (saved_size + 1) (Audit.Log.size log2)
 
+(* The state files under a crash at every write boundary of a save:
+   before and after each rename, with the next file's [.tmp] absent,
+   whole or torn. Each restart (a fresh device whose counter NVRAM is
+   only what the sidecar restores, and a fresh scheduler) must be warm
+   at N, warm at N+1, or — with no blob on disk yet — an announced cold
+   start: never [Stale], never a rollback to N once the blob at N+1 is
+   in place, and the restarted service must save and restart again. *)
+let state_file_crash_consistency () =
+  let cfg = audited_config () in
+  let dir = "state-crash" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "state" in
+  let read file = In_channel.with_open_bin file In_channel.input_all in
+  let write file data = Out_channel.with_open_bin file (fun oc -> output_string oc data) in
+  let clear () = Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir) in
+  let restart () =
+    let device = Sgx.Quote.device_create ~seed:"crash-test-device" in
+    let t = Service.Scheduler.create cfg in
+    (device, t, Service.State_file.load t ~device path)
+  in
+  let leaves t = Audit.Log.size (Option.get (Service.Scheduler.audit_log t)) in
+  let counter device t =
+    Sgx.Quote.counter_read device ~id:(Service.Scheduler.state_counter_id t)
+  in
+  let warm = function
+    | Ok (Service.State_file.Warm { counter; rolled_forward; log_leaves; _ }) ->
+        Some (counter, rolled_forward, log_leaves)
+    | Ok Service.State_file.Cold -> None
+    | Error e -> Alcotest.failf "restart failed: %s" (Audit.Seal.error_to_string e)
+  in
+  (* The state at N = 1: one judged job, sealed once. Later jobs on the
+     same payload are cache hits that still append a leaf. *)
+  clear ();
+  let device, t, _ = restart () in
+  ignore (run_jobs t [ job ~client:"a" (Lazy.force mcf_plain) ]);
+  Service.State_file.save t ~device path;
+  let base = (read path, read (path ^ ".ctr")) in
+  List.iter
+    (fun first_save ->
+      List.iter
+        (fun (replaced, tmp) ->
+          let what =
+            Printf.sprintf "%s, %d file(s) replaced, %s .tmp"
+              (if first_save then "first save" else "save over N")
+              replaced
+              (match tmp with `Absent -> "no" | `Whole -> "whole" | `Torn -> "torn")
+          in
+          clear ();
+          if not first_save then begin
+            write path (fst base);
+            write (path ^ ".ctr") (snd base)
+          end;
+          let device, t, _ = restart () in
+          let n = counter device t and leaves_n = leaves t in
+          if not first_save then ignore (run_jobs t [ job ~client:"b" (Lazy.force mcf_plain) ]);
+          (* The save at N+1, cut after [replaced] whole replacements. *)
+          List.iteri
+            (fun i (file, data) ->
+              if i < replaced then Service.State_file.write_atomic file data
+              else if i = replaced then
+                match tmp with
+                | `Absent -> ()
+                | `Whole -> write (file ^ ".tmp") data
+                | `Torn -> write (file ^ ".tmp") (String.sub data 0 (String.length data / 2)))
+            (Service.State_file.writes t ~device path);
+          let leaves_n1 = leaves t in
+          let device, t, r = restart () in
+          (match warm r with
+          | None when first_save && replaced = 0 -> ()
+          | Some got when replaced = 0 && not first_save ->
+              Alcotest.(check (triple int bool int)) (what ^ ": warm at N") (n, false, leaves_n) got
+          | Some got when replaced > 0 ->
+              Alcotest.(check (triple int bool int))
+                (what ^ ": warm at N+1") (n + 1, replaced = 1, leaves_n1) got
+          | Some (c, _, l) -> Alcotest.failf "%s: warm start at %d (%d leaves)" what c l
+          | None -> Alcotest.failf "%s: unannounced loss of state" what);
+          Service.State_file.save t ~device path;
+          let _, _, r = restart () in
+          Alcotest.(check (option (triple int bool int)))
+            (what ^ ": the next save restarts warm")
+            (Some (counter device t, false, leaves t))
+            (warm r);
+          Alcotest.(check (list string))
+            (what ^ ": no .tmp outlives a save") [ "state"; "state.ctr" ]
+            (List.sort compare (Array.to_list (Sys.readdir dir))))
+        ((2, `Absent)
+        :: List.concat_map (fun k -> [ (k, `Absent); (k, `Whole); (k, `Torn) ]) [ 0; 1 ]))
+    [ true; false ];
+  (* Outside what a cut can leave: a blob behind its sidecar is a
+     rollback and stays [Stale]; a missing blob is a cold start that
+     still restores the sidecar's counter, so the next save cannot seal
+     at a counter value already used. *)
+  clear ();
+  write path (fst base);
+  write (path ^ ".ctr") "2";
+  let _, _, r = restart () in
+  Alcotest.(check bool) "blob behind its sidecar -> Stale" true
+    (r = Error (Audit.Seal.Stale { sealed = 1; current = 2 }));
+  Sys.remove path;
+  let device, t, r = restart () in
+  Alcotest.(check bool) "missing blob -> cold start" true (r = Ok Service.State_file.Cold);
+  Alcotest.(check int) "the sidecar's counter survives a missing blob" 2 (counter device t);
+  clear ();
+  Sys.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Fuzz: untrusted decoders never raise on mutated bytes               *)
 (* ------------------------------------------------------------------ *)
@@ -537,6 +642,8 @@ let () =
         [
           Alcotest.test_case "end-to-end verdict transparency" `Quick end_to_end_transparency;
           Alcotest.test_case "sealed warm restart and rollback" `Quick sealed_warm_restart;
+          Alcotest.test_case "state files survive a cut at every write" `Quick
+            state_file_crash_consistency;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest

@@ -2,7 +2,8 @@
    fuzzing (mutated blobs must error or terminate within fuel, never
    crash or over-charge), and the differential guarantee — the five
    builtin DSL programs reproduce the native modules' verdicts,
-   findings and modelled cycles bit for bit. *)
+   findings and modelled cycles bit for bit, and both reproduce a
+   checked-in golden table over every workload and fixture. *)
 
 open Toolchain
 
@@ -77,6 +78,82 @@ let differential_small () =
         ("adversarial/" ^ Workloads.adversarial_to_string adv)
         (Linker.link_adversarial adv))
     Workloads.adversarial_all
+
+(* ------------------------------------------------------------------ *)
+(* Golden table: the full native-vs-DSL sweep                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fully instrumented (stack+ifcc) workload and every adversarial
+   fixture, judged by the five builtins through the enclave's front half
+   ([Provision.examine]). Per input: the context's policy cycles, its
+   CFG cycles, and each non-compliant builtin with its finding count and
+   the SHA-256 of its findings ([Service.Cache.findings_digest]); every
+   builtin not listed is compliant. Recorded from the native modules and
+   the DSL programs, which agreed bit for bit, before the service
+   stopped running the DSL programs. *)
+let golden =
+  [
+    ("nginx", 76857765, 6151027, []);
+    ("401.bzip2", 9613108, 552330, []);
+    ("graph-500", 19703863, 2350663, []);
+    ("429.mcf", 5131581, 302255, []);
+    ("memcached", 24014822, 1668745, []);
+    ("netperf", 18877028, 1210766, []);
+    ("otp-gen", 11447189, 643036, []);
+    ("adv/jump-past-mask", 9545, 1594,
+     [ ("indirect-function-calls", 1, "66e96e640cc84c07869f7daaab668b3715ead5c6214b10ad7d16f8edfdc7d7c2") ]);
+    ("adv/early-ret", 30791, 1784,
+     [ ("stack-protection", 1, "b58ad421883b19cd3730868ae87032ddef908a4c1021bcf3ec0360abe415c649") ]);
+    ("adv/jump-into-mask", 9690, 1498, []);
+    ("adv/tail-call-skip", 30268, 1836, []);
+    ("adv/mask-in-callee", 9505, 1579,
+     [ ("indirect-function-calls", 1, "ae083f1ba9f8ceceea764f448f76b0625859d04a975c9cde54c93de774a87887") ]);
+    ("adv/unsanitized-entry", 9095, 1345,
+     [ ("sanitize", 2, "d0d7008ed7b16a72c3c1ec015c8614c0f1f8ac6694de16d027685e7c6270395d") ]);
+    ("adv/giant-16", 56375, 10037, []);
+  ]
+
+let golden_inputs =
+  lazy
+    (let both = { Codegen.stack_protector = true; ifcc = true } in
+     List.map (fun b -> (Workloads.to_string b, Linker.link (Workloads.build both b))) Workloads.all
+     @ List.map
+         (fun adv -> ("adv/" ^ Workloads.adversarial_to_string adv, Linker.link_adversarial adv))
+         Workloads.adversarial_all)
+
+let check_golden engine policies =
+  let inputs = Lazy.force golden_inputs in
+  Alcotest.(check (list string))
+    "golden inputs" (List.map (fun (l, _, _, _) -> l) golden) (List.map fst inputs);
+  List.iter2
+    (fun (label, policy_cycles, cfg_cycles, violations) (_, (img : Linker.image)) ->
+      let what = engine ^ " " ^ label in
+      let report = Engarde.Report.create () in
+      match Engarde.Provision.examine report img.Linker.elf with
+      | Error r -> Alcotest.failf "%s: %s" what (Engarde.Provision.rejection_to_string r)
+      | Ok (_, ctx) ->
+          let results = Engarde.Policy.run_all ctx (policies ()) in
+          let bad =
+            List.filter_map
+              (fun (name, v) ->
+                match v with
+                | Engarde.Policy.Compliant -> None
+                | Engarde.Policy.Violations fs ->
+                    let digest = Service.Cache.findings_digest fs in
+                    Some (name, List.length fs, Crypto.Sha256.hex digest))
+              results
+          in
+          Alcotest.(check int) (what ^ ": five verdicts") 5 (List.length results);
+          Alcotest.(check (list (triple string int string))) (what ^ ": findings") violations bad;
+          Alcotest.(check int)
+            (what ^ ": policy cycles") policy_cycles
+            (Sgx.Perf.total_cycles report.Engarde.Report.policy);
+          Alcotest.(check int)
+            (what ^ ": cfg cycles") cfg_cycles (Sgx.Perf.total_cycles report.Engarde.Report.cfg))
+    golden inputs
+
+let golden_native () = check_golden "native" native_policies
+let golden_dsl () = check_golden "DSL" (fun () -> vm_policies (Sgx.Perf.create ()))
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
@@ -192,6 +269,34 @@ let negotiation_e2e () =
       ~libc_db_version:"1.0.5" ~programs_digest:d
   in
   Alcotest.(check bool) "cache key is digest-sensitive" true (key expected <> key "")
+
+(* Every builtin negotiates as a native marker. The libc marker carries
+   the SHA-256 of the reference hash database, so a database rollover
+   changes the libc digest and, through it, the judging enclave's
+   measurement; the other eight builtins' markers do not depend on it. *)
+let libc_marker_binds_db () =
+  let sched db = Service.Scheduler.create { service_config with Service.Scheduler.libc_db = db } in
+  let v104 = sched Libc.V1_0_4 and v105 = sched Libc.V1_0_5 in
+  let blob t name = List.assoc name (Service.Scheduler.program_set t [ name ]) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ ": negotiates as a native marker") true
+        (String.starts_with ~prefix:"EGNATIVE1\x00" (blob v105 name));
+      Alcotest.(check bool)
+        (name ^ ": digest moves with the database iff libc") (name = "libc")
+        (Service.Scheduler.programs_digest v104 [ name ]
+        <> Service.Scheduler.programs_digest v105 [ name ]))
+    Service.Scheduler.known_policies;
+  let judging t =
+    Engarde.Provision.expected_measurement
+      {
+        fast_provision with
+        Engarde.Provision.policy_names = [ "libc" ];
+        policy_digest = Service.Scheduler.programs_digest t [ "libc" ];
+      }
+  in
+  Alcotest.(check bool) "judging measurements differ" true (judging v104 <> judging v105)
 
 (* An authentic sealed blob from the previous state format must be
    refused as stale, not silently reused under the new cache keying. *)
@@ -309,12 +414,15 @@ let tests =
     ( "differential",
       [
         Alcotest.test_case "DSL = native on mcf + adversarial" `Quick differential_small;
+        Alcotest.test_case "native modules = golden table" `Quick golden_native;
+        Alcotest.test_case "DSL programs = golden table" `Quick golden_dsl;
       ] );
     ( "negotiation",
       [
         Alcotest.test_case "digest round-trips measurement/leaf/key" `Quick
           negotiation_e2e;
         Alcotest.test_case "v1 sealed state is stale" `Quick stale_sealed_state;
+        Alcotest.test_case "libc marker binds the hash database" `Quick libc_marker_binds_db;
       ] );
     ( "fuzz",
       List.map QCheck_alcotest.to_alcotest [ fuzz_decoder; fuzz_differential ] );

@@ -285,7 +285,7 @@ let batch_determinism () =
     ]
   in
   let run workers =
-    Service.Scheduler.batch ~config:(service_config ~workers ()) jobs
+    Service.Scheduler.batch (Service.Scheduler.create (service_config ~workers ())) jobs
     |> List.map (fun (c : Service.Scheduler.completion) ->
            ( c.Service.Scheduler.seq,
              c.Service.Scheduler.job.Service.Scheduler.client,
@@ -416,7 +416,7 @@ let batch_determinism_with_failures () =
           { (service_config ~workers:1 ()) with
             Service.Scheduler.max_retries = 2; fault = f }
     in
-    match Service.Scheduler.batch ~config:cfg [ job ~policies payload ] with
+    match Service.Scheduler.batch (Service.Scheduler.create cfg) [ job ~policies payload ] with
     | [ { Service.Scheduler.verdict = Ok _; latency_cycles; _ } ] -> latency_cycles
     | _ -> Alcotest.fail "probe job did not complete"
   in
@@ -504,7 +504,7 @@ let parallel_matches_sequential () =
   let slow_cycles =
     match
       Service.Scheduler.batch
-        ~config:(service_config ~workers:1 ())
+        (Service.Scheduler.create (service_config ~workers:1 ()))
         [ job ~policies:[ "libc"; "stack-pattern"; "ifcc-pattern" ] slow_payload ]
     with
     | [ { Service.Scheduler.verdict = Ok _; latency_cycles; _ } ] -> latency_cycles
