@@ -684,21 +684,22 @@ let write_report path report =
 let write_metrics t = Option.iter (fun path -> write_report path (Service.Scheduler.report t))
 
 let workers_arg =
-  Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc:"Worker pool size.")
+  Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc:"Jobs per scheduler round.")
 
 let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run provisioning pipelines on $(docv) OCaml domains (true multicore \
-           parallelism). 1 (the default) keeps the cooperative single-domain \
-           scheduler. Verdicts, cache statistics and the audit log are identical \
-           either way; only wall-clock time changes.")
+          "Run each round's provisioning pipelines on $(docv) OCaml domains (true \
+           multicore parallelism); the round then takes at least $(docv) jobs. 1 \
+           (the default) runs each pipeline in place on the scheduler's domain. \
+           Verdicts, cache statistics and the audit log are identical either way; \
+           only wall-clock time changes.")
 
-(* [domains = 1] is the plain cooperative scheduler; above that, rewire
-   the config onto a domain pool and guarantee its shutdown. [f] gets
-   the effective config so headers can print what actually runs. *)
+(* [domains = 1] runs pipelines in place; above that, rewire the config
+   onto a domain pool and guarantee its shutdown. [f] gets the effective
+   config so headers can print what actually runs. *)
 let with_domains config ~domains f =
   if domains <= 0 then begin
     prerr_endline "engarde: --domains must be positive";

@@ -235,12 +235,9 @@ let branch_target_within t ~lo ~hi =
   let i = go 0 n in
   i < n && ts.(i) < hi
 
-(* Absorb code bytes into a hash, reading strings and off-heap buffers
-   alike in place. *)
-let absorb h (code : Decoder.src) ~pos ~len =
-  match code with
-  | Decoder.Str s -> Crypto.Sha256.update_sub h s ~pos ~len
-  | Decoder.Big b -> Crypto.Sha256.update_big_sub h b ~pos ~len
+(* Absorb code bytes into a hash, reading the off-heap buffer in
+   place. *)
+let absorb h (Decoder.Big b) ~pos ~len = Crypto.Sha256.update_big_sub h b ~pos ~len
 
 let function_hash_unmemoized t ~perf ~addr =
   let b = t.buffer in

@@ -19,15 +19,8 @@ let index_of_addr b addr = Hashtbl.find_opt b.index addr
 
 let code_length = X86.Decoder.src_length
 
-let code_get (c : X86.Decoder.src) i =
-  match c with
-  | X86.Decoder.Str s -> s.[i]
-  | X86.Decoder.Big b -> Elf64.Buf.Big.get b i
-
-let code_sub (c : X86.Decoder.src) ~pos ~len =
-  match c with
-  | X86.Decoder.Str s -> String.sub s pos len
-  | X86.Decoder.Big b -> Elf64.Buf.Big.sub_string b ~pos ~len
+let code_get (X86.Decoder.Big b) i = Elf64.Buf.Big.get b i
+let code_sub (X86.Decoder.Big b) ~pos ~len = Elf64.Buf.Big.sub_string b ~pos ~len
 
 let bytes_between b ~lo ~hi =
   if hi < lo || lo < b.base || hi > b.base + code_length b.code then
@@ -77,4 +70,4 @@ let run_src ?(alloc = `Page) perf ~src ~base ~symbols =
       Ok ({ entries; base; code = src; index }, symhash)
 
 let run ?alloc perf ~code ~base ~symbols =
-  run_src ?alloc perf ~src:(X86.Decoder.Str code) ~base ~symbols
+  run_src ?alloc perf ~src:(X86.Decoder.src_of_string code) ~base ~symbols

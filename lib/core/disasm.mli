@@ -18,8 +18,8 @@ type entry = {
 type buffer = {
   entries : entry array;      (** in address order *)
   base : int;                 (** vaddr of the first code byte *)
-  code : X86.Decoder.src;     (** raw text bytes, for hashing — a plain
-                                  string or a zero-copy off-heap view *)
+  code : X86.Decoder.src;     (** raw text bytes, for hashing — an
+                                  off-heap view *)
   index : (int, int) Hashtbl.t;  (** vaddr -> entry index (use
                                      {!index_of_addr}) *)
 }
@@ -44,7 +44,8 @@ val run :
     modelled cycles (decode work, malloc trampolines, symbol inserts) to
     the counter. [alloc] selects the buffer-growth strategy: [`Page]
     (the paper's page-at-a-time malloc, default) or [`Record] (naive
-    per-instruction allocation — the ablation baseline). *)
+    per-instruction allocation — the ablation baseline). [code] is
+    copied into one off-heap buffer ({!X86.Decoder.src_of_string}). *)
 
 val run_src :
   ?alloc:[ `Page | `Record ] ->
@@ -53,8 +54,7 @@ val run_src :
   base:int ->
   symbols:Elf64.Types.symbol list ->
   (buffer * Symhash.t, X86.Nacl.violation) result
-(** {!run} over either byte source. With [Big], the whole
-    decode/analyze/hash pipeline reads the off-heap buffer in place —
-    no copy of the text section ever enters the OCaml heap, so parallel
-    domains stop fighting the GC over multi-megabyte strings. Modelled
-    cycles are identical to the string path for identical bytes. *)
+(** {!run} over a byte source: the whole decode/analyze/hash pipeline
+    reads the off-heap buffer in place — no copy of the text section
+    ever enters the OCaml heap, so parallel domains stop fighting the GC
+    over multi-megabyte strings. *)

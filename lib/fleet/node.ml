@@ -155,23 +155,6 @@ let provenance t key = Hashtbl.find_opt t.imported key
 let imported_count t = Hashtbl.length t.imported
 let cross_hits t = t.cross
 
-(* Reconstruct the audit leaf a verdict must occupy in the sender's
-   log. [Audit.Log.leaf_bytes] of this record is what the inclusion
-   proof is checked against, so any divergence between the pushed
-   verdict and the logged one breaks the proof. *)
-let leaf_of_verdict ~key (v : Service.Cache.verdict) =
-  {
-    Audit.Log.key;
-    accepted = v.Service.Cache.accepted;
-    findings_digest = Service.Cache.findings_digest v.Service.Cache.findings;
-    measurement = v.Service.Cache.measurement;
-    programs_digest = v.Service.Cache.programs_digest;
-    instructions = v.Service.Cache.instructions;
-    disassembly_cycles = v.Service.Cache.disassembly_cycles;
-    policy_cycles = v.Service.Cache.policy_cycles;
-    loading_cycles = v.Service.Cache.loading_cycles;
-  }
-
 let push_for t ~key =
   match
     ( Hashtbl.find_opt t.verdicts key,
@@ -227,7 +210,7 @@ let handle_push t ~peer ~key ~verdict ~quote ~checkpoint ~index ~proof =
             quarantine_peer t peer
         | Error Sgx.Mage.Wrong_binding -> reject t peer Metrics.Binding
         | Ok () -> (
-            let leaf = leaf_of_verdict ~key v in
+            let leaf = Service.Cache.audit_leaf ~key v in
             match
               Audit.Log.verify_remote_leaf t.peer_publics.(peer) ~identity:expected ckpt
                 ~index ~leaf ~proof

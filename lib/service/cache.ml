@@ -27,6 +27,19 @@ let encode_findings findings =
 
 let findings_digest findings = Crypto.Sha256.digest (encode_findings findings)
 
+let audit_leaf ~key v =
+  {
+    Audit.Log.key;
+    accepted = v.accepted;
+    findings_digest = findings_digest v.findings;
+    measurement = v.measurement;
+    programs_digest = v.programs_digest;
+    instructions = v.instructions;
+    disassembly_cycles = v.disassembly_cycles;
+    policy_cycles = v.policy_cycles;
+    loading_cycles = v.loading_cycles;
+  }
+
 let encode_verdict v =
   let b = Buffer.create 256 in
   Printf.bprintf b "%c\t%d\t%d\t%d\t%d\n"

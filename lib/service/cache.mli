@@ -44,6 +44,11 @@ val encode_findings : Engarde.Policy.finding list -> string
 val findings_digest : Engarde.Policy.finding list -> string
 (** SHA-256 of {!encode_findings} (32 raw bytes). *)
 
+val audit_leaf : key:string -> verdict -> Audit.Log.leaf
+(** The transparency-log leaf of a verdict filed under [key]: what the
+    scheduler appends, and what a fleet peer rebuilds from a pushed
+    verdict to check its inclusion proof. *)
+
 val decode_verdict : string -> verdict option
 (** Inverse of {!encode_verdict}; [None] on any malformed input. *)
 

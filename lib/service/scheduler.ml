@@ -19,7 +19,6 @@ type completion = {
   cache_hit : bool;
   attempts : int;
   latency_cycles : int;
-  worker : int;
 }
 
 type config = {
@@ -28,8 +27,6 @@ type config = {
   cache : [ `Enabled of int | `Disabled ];
   audit : bool;
   timeout_cycles : int option;
-  max_retries : int;
-  backoff_ticks : int;
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
   programs : (string * string) list;
@@ -38,7 +35,6 @@ type config = {
   dispatch :
     (unit -> Engarde.Provision.outcome) -> unit -> Engarde.Provision.outcome;
   channel : Engarde.Provision.channel;
-  ticket_epoch : int;
   ticket_capacity : int;
 }
 
@@ -49,8 +45,6 @@ let default_config =
     cache = `Enabled 256;
     audit = false;
     timeout_cycles = None;
-    max_retries = 2;
-    backoff_ticks = 2;
     max_payload_bytes = Some (16 * 1024 * 1024);
     libc_db = Toolchain.Libc.V1_0_5;
     programs = [];
@@ -67,25 +61,25 @@ let default_config =
        hooks, which pattern-match [Code_block]) see the paper-faithful
        wire format unless the provider opts into streaming. *)
     channel = `Legacy;
-    ticket_epoch = 0;
     ticket_capacity = 256;
   }
 
-(* The domain-pool dispatch: submit on the Run tick, block on the Join
-   tick. Pipelines for distinct jobs overlap on the pool's domains
-   while the scheduler keeps stepping its cooperative tick loop. *)
-let parallel_dispatch pool pipeline =
-  let fut = Pool.submit pool pipeline in
-  fun () -> Pool.await fut
+(* Extra attempts after the first when the channel fails in transit. *)
+let max_retries = 2
 
 let parallel_config ?(config = default_config) ~domains () =
   let pool = Pool.create ~domains in
   ( {
       config with
-      (* At least one scheduler worker per domain, or in-flight slots —
-         not cores — would bound the parallelism. *)
+      (* At least one job per domain in each tick's round, or the round
+         size — not cores — would bound the parallelism. *)
       workers = max config.workers domains;
-      dispatch = parallel_dispatch pool;
+      (* Submit when the tick starts the attempt, block when it joins:
+         a round's pipelines overlap on the pool's domains. *)
+      dispatch =
+        (fun pipeline ->
+          let fut = Pool.submit pool pipeline in
+          fun () -> Pool.await fut);
     },
     pool )
 
@@ -151,7 +145,7 @@ let policies_of_names ~db names =
   in
   go [] names
 
-(* An admitted job being stepped by a worker. *)
+(* An admitted job, from submission to its completion. *)
 type active = {
   ajob : job;
   aseq : int;
@@ -159,15 +153,6 @@ type active = {
   mutable attempts : int;
   mutable cycles : int;   (* accumulated across attempts *)
 }
-
-type worker_state =
-  | Idle
-  | Lookup of active
-  | Run of active
-  | Join of active * (unit -> Engarde.Provision.outcome)
-      (* attempt in flight on the dispatch substrate; the thunk blocks
-         until its outcome is ready *)
-  | Backoff of active * int  (* ticks until retry *)
 
 type t = {
   cfg : config;
@@ -178,7 +163,7 @@ type t = {
   cache : Cache.t option;
   mutable audit_log : Audit.Log.t option;
   metrics : Metrics.t;
-  workers : worker_state array;
+  mutable retries : active list;  (* the last tick's transient failures, newest first *)
   mutable next_seq : int;
   mutable completions : completion list;  (* newest first *)
   (* Per-client resumption tickets from accepted streaming runs, keyed
@@ -224,7 +209,7 @@ let create (cfg : config) =
       | `Disabled -> None);
     audit_log = (if cfg.audit then Some (Audit.Log.create ()) else None);
     metrics = Metrics.create ();
-    workers = Array.make cfg.workers Idle;
+    retries = [];
     next_seq = 0;
     completions = [];
     tickets = Hashtbl.create 16;
@@ -395,27 +380,14 @@ let submit t job =
    provider answered from the cache and is accountable for it), so the
    audit trail covers exactly what clients were told. Failures reach no
    verdict and leave no leaf, mirroring the cache. *)
-let audit_append t a (v : Cache.verdict) =
+let audit_append t a v =
   match t.audit_log with
   | None -> ()
   | Some log ->
-      let leaf =
-        {
-          Audit.Log.key = a.akey;
-          accepted = v.Cache.accepted;
-          findings_digest = Cache.findings_digest v.Cache.findings;
-          measurement = v.Cache.measurement;
-          programs_digest = v.Cache.programs_digest;
-          instructions = v.Cache.instructions;
-          disassembly_cycles = v.Cache.disassembly_cycles;
-          policy_cycles = v.Cache.policy_cycles;
-          loading_cycles = v.Cache.loading_cycles;
-        }
-      in
-      ignore (Audit.Log.append log leaf);
+      ignore (Audit.Log.append log (Cache.audit_leaf ~key:a.akey v));
       Metrics.audit_appended t.metrics ~log_size:(Audit.Log.size log)
 
-let complete t ~worker a verdict ~cache_hit =
+let complete t a verdict ~cache_hit =
   (match verdict with
   | Ok v ->
       Metrics.job_completed t.metrics ~cache_hit;
@@ -430,11 +402,10 @@ let complete t ~worker a verdict ~cache_hit =
       cache_hit;
       attempts = a.attempts;
       latency_cycles = a.cycles;
-      worker;
     }
     :: t.completions
 
-let verdict_of_outcome (o : Engarde.Provision.outcome) =
+let verdict_of_outcome (o : Engarde.Provision.outcome) ~disassembly ~policy ~loading =
   let accepted, detail =
     match o.Engarde.Provision.result with
     | Ok loaded ->
@@ -444,21 +415,16 @@ let verdict_of_outcome (o : Engarde.Provision.outcome) =
             loaded.Engarde.Loader.relocations_applied )
     | Error r -> (false, Engarde.Provision.rejection_to_string r)
   in
-  let report = o.Engarde.Provision.report in
   {
     Cache.accepted;
     detail;
     measurement = o.Engarde.Provision.measurement;
     programs_digest =
       Option.value o.Engarde.Provision.negotiated_digest ~default:"";
-    instructions = report.Engarde.Report.instructions;
-    disassembly_cycles = Sgx.Perf.total_cycles report.Engarde.Report.disassembly;
-    policy_cycles =
-      Sgx.Perf.total_cycles report.Engarde.Report.analysis
-      + Sgx.Perf.total_cycles report.Engarde.Report.callgraph
-      + Sgx.Perf.total_cycles report.Engarde.Report.summary
-      + Sgx.Perf.total_cycles report.Engarde.Report.policy;
-    loading_cycles = Sgx.Perf.total_cycles report.Engarde.Report.loading;
+    instructions = o.Engarde.Provision.report.Engarde.Report.instructions;
+    disassembly_cycles = disassembly;
+    policy_cycles = policy;
+    loading_cycles = loading;
     findings = Engarde.Provision.findings o;
   }
 
@@ -503,12 +469,13 @@ let ticket_store t k stash =
 
 let ticket_stash_size t = Hashtbl.length t.tickets
 
-(* Launch one real pipeline execution (one attempt) for [a]. Everything
-   the pipeline closure touches is prepared here, on the scheduler
-   thread — the libc db is forced, the policy instances are fresh
-   per-attempt — so the closure only reads immutable or private state
-   and is safe to run on any domain the dispatch picks. *)
-let start_attempt t ~worker a =
+(* Start one attempt for [a] and return its join. Everything the
+   pipeline closure touches is prepared here, on the scheduler thread —
+   the libc db is forced, the policy instances are fresh per attempt —
+   so the closure only reads immutable or private state and is safe to
+   run on any domain the dispatch picks. [fault] is called immediately
+   before [dispatch], on the same attempt. *)
+let start_attempt t a =
   a.attempts <- a.attempts + 1;
   let job = a.ajob in
   let policies = List.map (policy_for t) job.policy_names in
@@ -522,7 +489,6 @@ let start_attempt t ~worker a =
   in
   let tamper = t.cfg.fault ~attempt:a.attempts job in
   let channel = t.cfg.channel in
-  let ticket_epoch = t.cfg.ticket_epoch in
   (* A stashed ticket turns this attempt into a 0-RTT resumption; a
      stale or mismatched one falls back inside [Provision.run]. *)
   let resume =
@@ -530,21 +496,22 @@ let start_attempt t ~worker a =
     | `Legacy -> None
     | `Streaming -> ticket_find t (ticket_key t a)
   in
-  let join =
-    t.cfg.dispatch (fun () ->
-        Engarde.Provision.run ?tamper ~policies ~programs ~channel ?resume
-          ~ticket_epoch provision_cfg ~payload:job.payload)
-  in
-  t.workers.(worker) <- Join (a, join)
+  t.cfg.dispatch (fun () ->
+      Engarde.Provision.run ?tamper ~policies ~programs ~channel ?resume provision_cfg
+        ~payload:job.payload)
 
 (* The attempt's outcome is in hand (the join returned): charge the
-   modelled cycles and decide — retry, fail, time out, or complete. *)
-let finish_attempt t ~worker a outcome =
+   modelled cycles and decide — retry on the next tick, fail, time out,
+   or complete. *)
+let finish_attempt t a outcome =
   let report = outcome.Engarde.Provision.report in
   let phase p = Sgx.Perf.total_cycles p in
   let disassembly = phase report.Engarde.Report.disassembly in
   let callgraph = phase report.Engarde.Report.callgraph in
   let summary = phase report.Engarde.Report.summary in
+  (* The service's policy phase: the shared analysis index, the call
+     graph, the summaries and the policies. CFG recovery is not part of
+     it. *)
   let policy =
     phase report.Engarde.Report.analysis + phase report.Engarde.Report.policy
     + callgraph + summary
@@ -569,62 +536,50 @@ let finish_attempt t ~worker a outcome =
   (match outcome.Engarde.Provision.ticket with
   | Some stash -> ticket_store t (ticket_key t a) stash
   | None -> ());
-  let transient =
-    match outcome.Engarde.Provision.result with
-    | Error (Engarde.Provision.Transfer_tampered why) -> Some why
-    | _ -> None
-  in
-  match transient with
-  | Some why ->
-      if a.attempts <= t.cfg.max_retries then begin
-        Metrics.job_retried t.metrics;
-        (* Exponential backoff: base * 2^(attempt-1) idle ticks. *)
-        t.workers.(worker) <-
-          Backoff (a, t.cfg.backoff_ticks * (1 lsl (a.attempts - 1)))
-      end
-      else begin
-        complete t ~worker a (Error (Channel_failure { attempts = a.attempts; last = why }))
-          ~cache_hit:false;
-        t.workers.(worker) <- Idle
-      end
-  | None -> (
+  match outcome.Engarde.Provision.result with
+  | Error (Engarde.Provision.Transfer_tampered _) when a.attempts <= max_retries ->
+      Metrics.job_retried t.metrics;
+      t.retries <- a :: t.retries
+  | Error (Engarde.Provision.Transfer_tampered why) ->
+      complete t a (Error (Channel_failure { attempts = a.attempts; last = why }))
+        ~cache_hit:false
+  | _ -> (
       match t.cfg.timeout_cycles with
       | Some budget when a.cycles > budget ->
           (* Over budget: the verdict is discarded and never cached. *)
-          complete t ~worker a
+          complete t a
             (Error (Timed_out { attempts = a.attempts; cycles = a.cycles }))
-            ~cache_hit:false;
-          t.workers.(worker) <- Idle
+            ~cache_hit:false
       | _ ->
-          let verdict = verdict_of_outcome outcome in
+          let verdict = verdict_of_outcome outcome ~disassembly ~policy ~loading in
           Option.iter (fun c -> Cache.add c a.akey verdict) t.cache;
-          complete t ~worker a (Ok verdict) ~cache_hit:false;
-          t.workers.(worker) <- Idle)
+          complete t a (Ok verdict) ~cache_hit:false)
 
-let step_worker t worker =
-  match t.workers.(worker) with
-  | Idle -> (
-      match Queue.take t.queue with
-      | None -> ()
-      | Some a -> t.workers.(worker) <- Lookup a)
-  | Lookup a -> (
-      match Option.bind t.cache (fun c -> Cache.find c a.akey) with
-      | Some verdict ->
-          complete t ~worker a (Ok verdict) ~cache_hit:true;
-          t.workers.(worker) <- Idle
-      | None -> t.workers.(worker) <- Run a)
-  | Run a -> start_attempt t ~worker a
-  | Join (a, join) -> finish_attempt t ~worker a (join ())
-  | Backoff (a, remaining) ->
-      if remaining <= 0 then start_attempt t ~worker a
-      else t.workers.(worker) <- Backoff (a, remaining - 1)
+let busy t = Queue.depth t.queue > 0 || t.retries <> []
 
-let busy t =
-  Queue.depth t.queue > 0
-  || Array.exists (function Idle -> false | _ -> true) t.workers
-
+(* One round: take up to [workers] jobs — the last tick's transient
+   failures first, then the queue — and answer the cache hits. Every
+   miss's attempt is started through [dispatch], then the attempts are
+   joined in the order they started. A retry skips the lookup: its key
+   has already missed. *)
 let tick t =
-  Array.iteri (fun i _ -> step_worker t i) t.workers;
+  let rec take n acc =
+    if n <= 0 then List.rev acc
+    else
+      match Queue.take t.queue with
+      | None -> List.rev acc
+      | Some a -> (
+          match Option.bind t.cache (fun c -> Cache.find c a.akey) with
+          | Some verdict ->
+              complete t a (Ok verdict) ~cache_hit:true;
+              take (n - 1) acc
+          | None -> take (n - 1) (a :: acc))
+  in
+  let retries = List.rev t.retries in
+  t.retries <- [];
+  let runs = retries @ take (t.cfg.workers - List.length retries) [] in
+  let joins = List.map (fun a -> (a, start_attempt t a)) runs in
+  List.iter (fun (a, join) -> finish_attempt t a (join ())) joins;
   Metrics.set_queue_depth t.metrics (Queue.depth t.queue)
 
 let drain_completions t =
@@ -645,46 +600,31 @@ let report t =
   Metrics.render t.metrics ~queue:(Queue.stats t.queue) ~cache:(cache_stats t)
 
 let batch t jobs =
-  let rejected = ref [] in
-  let pending = ref jobs in
-  let feed () =
-    let continue = ref true in
-    while !continue && !pending <> [] do
-      match !pending with
-      | [] -> ()
-      | job :: rest -> (
-          if Queue.depth t.queue >= Queue.capacity t.queue then continue := false
-          else
-            match submit t job with
-            | Ok _ -> pending := rest
-            | Error why ->
-                (* Validation failure: record a rejection completion so
-                   the batch result covers every input, in order. *)
-                let seq = t.next_seq in
-                t.next_seq <- seq + 1;
-                rejected :=
-                  {
-                    job;
-                    seq;
-                    verdict = Error (Rejected why);
-                    cache_hit = false;
-                    attempts = 0;
-                    latency_cycles = 0;
-                    worker = -1;
-                  }
-                  :: !rejected;
-                pending := rest)
-    done
+  let rejected =
+    List.filter_map
+      (fun job ->
+        while Queue.depth t.queue >= Queue.capacity t.queue do
+          tick t
+        done;
+        match submit t job with
+        | Ok _ -> None
+        | Error why ->
+            (* Validation failure: a rejection completion keeps the
+               batch result covering every input, in order. *)
+            let seq = t.next_seq in
+            t.next_seq <- seq + 1;
+            Some
+              {
+                job;
+                seq;
+                verdict = Error (Rejected why);
+                cache_hit = false;
+                attempts = 0;
+                latency_cycles = 0;
+              })
+      jobs
   in
-  feed ();
-  let ticks = ref 0 in
-  while (busy t || !pending <> []) && !ticks < 10_000_000 do
-    tick t;
-    feed ();
-    incr ticks
-  done;
-  if busy t || !pending <> [] then failwith "Service.Scheduler.batch: tick budget exhausted";
-  List.sort (fun a b -> compare a.seq b.seq) (drain_completions t @ !rejected)
+  List.sort (fun a b -> compare a.seq b.seq) (run_until_idle t @ rejected)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplexed serve loop                                              *)

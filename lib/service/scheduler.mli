@@ -1,33 +1,33 @@
-(** Worker pool and scheduler: the first layer above
+(** The inspection service's scheduler: the first layer above
     [Engarde.Provision].
 
     The paper's contract is one client, one ELF, one verdict. A
-    provisioning *service* must run many such inspections concurrently;
-    this module steps up to [workers] provisioning pipelines in a
-    cooperative round-robin — each [tick] advances every active worker
-    by one pipeline stage (dequeue, cache lookup, run, backoff), so a
-    single giant binary cannot monopolize the service and interleaving
-    is deterministic. True parallelism slots in through the [dispatch]
-    hook: the scheduler submits the pipeline closure on one tick and
-    joins its outcome on the next, so with {!parallel_config} the
-    closures of distinct jobs overlap on a {!Pool} of domains while
-    admission, ordering, the cache, metrics and the audit log keep
-    their sequential semantics — completions are re-sequenced by [seq],
-    and modelled cycles (hence verdicts, retries and timeouts) do not
-    depend on which domain ran a pipeline or in what order they
-    finished.
+    provisioning *service* runs many such inspections; this module
+    runs them in rounds. Each {!tick} takes up to [workers] jobs,
+    answers the cache hits, starts every miss's pipeline through the
+    [dispatch] hook, then joins those pipelines in the order they
+    started. So one tick completes a whole round. With the default
+    in-place dispatch each pipeline runs when it is started; with
+    {!parallel_config} the round's pipelines overlap on a {!Pool} of
+    domains, while admission, ordering, the cache, metrics and the
+    audit log stay on the scheduler thread. Completions are
+    re-sequenced by [seq], and modelled cycles (hence verdicts, retries
+    and timeouts) do not depend on which domain ran a pipeline or in
+    what order they finished.
 
-    Failure handling: channel-layer failures ([Transfer_tampered]) are
-    treated as transient and retried with exponential backoff up to
-    [max_retries]; a job whose accumulated modelled cycles exceed
-    [timeout_cycles] fails with [Timed_out]. Neither failure is cached —
-    only verdicts are content-addressed, and a verdict exists only when
-    the pipeline actually judged the binary. *)
+    Failure handling: a channel-layer failure ([Transfer_tampered]) is
+    treated as transient and retried on the next tick, at most twice;
+    a job whose accumulated modelled cycles exceed [timeout_cycles]
+    fails with [Timed_out]. Neither failure is cached — only verdicts
+    are content-addressed, and a verdict exists only when the pipeline
+    actually judged the binary. *)
 
 type job = {
   client : string;            (** identity; reported back, not trusted *)
   payload : string;           (** the sealed ELF bytes *)
-  policy_names : string list; (** agreed policy set: libc | stack | ifcc *)
+  policy_names : string list;
+      (** agreed policy set: names from {!known_policies} or the
+          configured custom [programs] *)
 }
 
 type failure =
@@ -47,19 +47,16 @@ type completion = {
   cache_hit : bool;
   attempts : int;            (** pipeline executions, >= 1 unless rejected/hit *)
   latency_cycles : int;      (** modelled cycles across all attempts *)
-  worker : int;              (** -1 for admission rejections *)
 }
 
 type config = {
-  workers : int;
+  workers : int;  (** jobs taken per {!tick} *)
   queue_capacity : int;
   cache : [ `Enabled of int | `Disabled ];  (** capacity when enabled *)
   audit : bool;
       (** maintain the Merkle transparency log: every completion that
           carries a verdict (cache hits included) appends one leaf *)
   timeout_cycles : int option;
-  max_retries : int;        (** extra attempts after the first *)
-  backoff_ticks : int;      (** base backoff; doubles per retry *)
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
       (** the provider's reference hash database — part of the cache key *)
@@ -79,12 +76,13 @@ type config = {
           here. *)
   dispatch :
     (unit -> Engarde.Provision.outcome) -> unit -> Engarde.Provision.outcome;
-      (** the Domain-parallelism hook point, in two phases: the
-          scheduler calls [dispatch pipeline] when a worker starts an
-          attempt (submit) and the returned thunk one tick later
-          (join — may block until the outcome is ready). The default
-          runs the pipeline in place at submit time and joins
-          instantly; {!parallel_config} submits to a domain pool. *)
+      (** the Domain-parallelism hook point, in two phases: a {!tick}
+          calls [dispatch pipeline] for each attempt it starts (submit,
+          immediately after [fault] on the same attempt), then the
+          returned thunks in the same order (join — may block until
+          the outcome is ready). The default runs the pipeline in place
+          at submit time and joins instantly; {!parallel_config}
+          submits to a domain pool. *)
   channel : Engarde.Provision.channel;
       (** which transfer flavor jobs provision over. [`Legacy] (the
           default) keeps the paper-faithful block channel; [`Streaming]
@@ -92,10 +90,6 @@ type config = {
           the scheduler stashes each accepted run's resumption ticket
           per (client, program set) so that client's next submission
           rides 0-RTT. Verdicts and modelled cycles are identical. *)
-  ticket_epoch : int;
-      (** the provider's ticket-key generation; bumping it invalidates
-          every outstanding resumption ticket (resumed clients fall back
-          to the full handshake once and get a fresh ticket) *)
   ticket_capacity : int;
       (** LRU cap on the 0-RTT ticket stash (entries are per (client,
           program set), so a long-running serve loop would otherwise
@@ -106,15 +100,15 @@ type config = {
 
 val default_config : config
 (** 4 workers, queue of 64, cache of 256 verdicts, audit off, no
-    timeout, 2 retries, clean channel, in-place dispatch, libc-db
-    v1.0.5, no custom programs, the legacy channel at ticket epoch 0,
+    timeout, clean channel, in-place dispatch, libc-db v1.0.5, no
+    custom programs, the legacy channel, a stash of 256 tickets,
     [Engarde.Provision.default_config]. *)
 
 val parallel_config : ?config:config -> domains:int -> unit -> config * Pool.t
 (** [config] (default {!default_config}) rewired for true parallelism:
     [dispatch] submits every pipeline to a fresh [domains]-wide {!Pool}
-    and [workers] is raised to at least [domains] so in-flight slots
-    never bound the parallelism. The pool is returned so the caller
+    and [workers] is raised to at least [domains] so the round size
+    never bounds the parallelism. The pool is returned so the caller
     can {!Pool.shutdown} it when the scheduler is done. Verdicts, cache
     statistics and the audit-log root are identical to the sequential
     configuration on the same job mix — wall-clock time is the only
@@ -210,11 +204,15 @@ val submit : t -> job -> (int, string) result
     reason (also counted in the metrics). *)
 
 val busy : t -> bool
-(** Work queued or in flight. *)
+(** Jobs queued, or transient failures waiting for their retry. *)
 
 val tick : t -> unit
-(** One cooperative step: idle workers dequeue, active workers advance
-    one stage, backoffs count down, gauges update. *)
+(** One round: take up to [workers] jobs (the previous tick's transient
+    failures first, then the queue) and answer the cache hits; call
+    [fault] then [dispatch] for each miss, then join the attempts in the
+    same order and finish each. Every job taken completes in this tick
+    unless its channel failed in transit, in which case it retries on
+    the next. *)
 
 val drain_completions : t -> completion list
 (** Completions accumulated since the last drain, in submission order. *)
@@ -244,7 +242,7 @@ val serve :
   completion list
 (** The multiplexed server loop: poll the mux, turn completed payload
     transfers into jobs (the connection id is the client identity),
-    tick the pool, and answer each finished job with a [Verdict] on its
+    tick, and answer each finished job with a [Verdict] on its
     originating connection. Admission rejections and corrupt transfers
     are answered immediately. Returns when the mux has gone quiet and
-    the pool is idle. *)
+    the scheduler is idle. *)

@@ -25,20 +25,22 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* Instruction bytes come either as an ordinary string or as an
-   off-heap [bigstring] view of the mapped section — the zero-copy path
-   parallel workers decode through without dragging multi-MB strings
-   across the shared major heap. *)
-type src = Str of string | Big of bigstring
+(* Instruction bytes are an off-heap [bigstring] view of the mapped
+   section: parallel workers decode it in place without dragging
+   multi-MB strings across the shared major heap. *)
+type src = Big of bigstring
 
-let src_length = function
-  | Str s -> String.length s
-  | Big b -> Bigarray.Array1.dim b
+let src_length (Big b) = Bigarray.Array1.dim b
 
-(* Decoding cursor over an immutable byte source. *)
+let src_of_string s =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (fun i c -> Bigarray.Array1.unsafe_set b i c) s;
+  Big b
+
+(* Decoding cursor over an immutable byte buffer. *)
 type cursor = {
-  code : src;
-  code_len : int;  (* cached [src_length code] *)
+  code : bigstring;
+  code_len : int;  (* cached [Bigarray.Array1.dim code] *)
   start : int;     (* offset of the instruction being decoded *)
   mutable pos : int;
   mutable seg_fs : bool;
@@ -53,9 +55,7 @@ exception Fail of error
 
 let peek c =
   if c.pos >= c.code_len then raise (Fail (Truncated c.start));
-  match c.code with
-  | Str s -> Char.code (String.unsafe_get s c.pos)
-  | Big b -> Char.code (Bigarray.Array1.unsafe_get b c.pos)
+  Char.code (Bigarray.Array1.unsafe_get c.code c.pos)
 
 let next c =
   let b = peek c in
@@ -302,8 +302,8 @@ let decode_insn c : Insn.t =
 
 let max_insn_len = 15
 
-let decode_one_src code ~pos =
-  let code_len = src_length code in
+let decode_one_src (Big code) ~pos =
+  let code_len = Bigarray.Array1.dim code in
   if pos < 0 || pos >= code_len then Error (Truncated pos)
   else begin
     let c =
@@ -336,5 +336,5 @@ let decode_all_src ?(pos = 0) ?len code =
   in
   go [] pos
 
-let decode_one code ~pos = decode_one_src (Str code) ~pos
-let decode_all ?pos ?len code = decode_all_src ?pos ?len (Str code)
+let decode_one code ~pos = decode_one_src (src_of_string code) ~pos
+let decode_all ?pos ?len code = decode_all_src ?pos ?len (src_of_string code)

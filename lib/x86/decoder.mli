@@ -31,12 +31,15 @@ type bigstring =
 (** Off-heap byte buffer (structural alias for [Elf64.Buf.Big.t] —
     declared locally so this library keeps zero dependencies). *)
 
-type src = Str of string | Big of bigstring
-(** Instruction byte source. [Big] is the zero-copy path: the decoder
-    reads the mapped section in place, so parallel domains share one
-    off-heap buffer instead of copying strings through the GC heap. *)
+type src = Big of bigstring
+(** Instruction byte source: the decoder reads the mapped section in
+    place, so parallel domains share one off-heap buffer instead of
+    copying strings through the GC heap. *)
 
 val src_length : src -> int
+
+val src_of_string : string -> src
+(** A copy of the string in one fresh off-heap buffer. *)
 
 val decode_one : string -> pos:int -> (decoded, error) result
 (** Decode the instruction starting at byte [pos]. *)
@@ -46,8 +49,7 @@ val decode_all : ?pos:int -> ?len:int -> string -> (decoded list, error) result
     Stops at the first undecodable byte. *)
 
 val decode_one_src : src -> pos:int -> (decoded, error) result
-(** {!decode_one} over either byte source. Byte-identical results for
-    identical bytes, regardless of representation. *)
+(** {!decode_one} over a byte source, in place. *)
 
 val decode_all_src : ?pos:int -> ?len:int -> src -> (decoded list, error) result
-(** {!decode_all} over either byte source. *)
+(** {!decode_all} over a byte source, in place. *)

@@ -104,4 +104,4 @@ let validate_src ?(roots = []) ?(check_reachability = true) code =
       (match violation with Some v -> Error v | None -> Ok insns)
 
 let validate ?roots ?check_reachability code =
-  validate_src ?roots ?check_reachability (Decoder.Str code)
+  validate_src ?roots ?check_reachability (Decoder.src_of_string code)

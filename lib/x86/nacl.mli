@@ -38,5 +38,5 @@ val validate_src :
   ?check_reachability:bool ->
   Decoder.src ->
   (Decoder.decoded array, violation) result
-(** {!validate} over either byte source; the [Big] case validates the
-    off-heap buffer in place (zero-copy). *)
+(** {!validate} over a byte source, in place (zero-copy); {!validate}
+    copies its string into one off-heap buffer first. *)

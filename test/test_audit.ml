@@ -280,7 +280,6 @@ let audited_config () =
     queue_capacity = 16;
     cache = `Enabled 32;
     audit = true;
-    backoff_ticks = 1;
     provision = fast_provision;
   }
 

@@ -26,7 +26,6 @@ let node_config ?(workers = 1) () =
     queue_capacity = 32;
     cache = `Enabled 32;
     audit = true;
-    backoff_ticks = 1;
     provision = fast_provision;
   }
 

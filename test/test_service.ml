@@ -1,8 +1,9 @@
 (* Service-layer tests: job queue FIFO + backpressure, the
    content-addressed verdict cache (hit/miss/eviction, key
-   sensitivity), scheduler timeout + retry-with-backoff, batch
-   determinism across worker counts, the cache-amortization acceptance
-   criterion, and the multiplexed serve loop. *)
+   sensitivity), the scheduler's one-round tick, timeout + retry on the
+   next tick, batch determinism across worker counts, the
+   cache-amortization acceptance criterion, and the multiplexed serve
+   loop. *)
 
 open Toolchain
 
@@ -23,7 +24,6 @@ let service_config ?(workers = 2) ?(cache = `Enabled 32) ?(queue = 16) () =
     Service.Scheduler.workers;
     queue_capacity = queue;
     cache;
-    backoff_ticks = 1;
     provision = fast_provision;
   }
 
@@ -284,17 +284,24 @@ let batch_determinism () =
       job ~client:"d" ~policies:[ "libc" ] plain;   (* duplicate of a *)
     ]
   in
-  let run workers =
-    Service.Scheduler.batch (Service.Scheduler.create (service_config ~workers ())) jobs
-    |> List.map (fun (c : Service.Scheduler.completion) ->
-           ( c.Service.Scheduler.seq,
-             c.Service.Scheduler.job.Service.Scheduler.client,
-             match c.Service.Scheduler.verdict with
-             | Ok v ->
-                 (v.Service.Cache.accepted, v.Service.Cache.detail, v.Service.Cache.measurement)
-             | Error f -> (false, Service.Scheduler.failure_to_string f, "") ))
+  let summary =
+    List.map (fun (c : Service.Scheduler.completion) ->
+        ( c.Service.Scheduler.seq,
+          c.Service.Scheduler.job.Service.Scheduler.client,
+          match c.Service.Scheduler.verdict with
+          | Ok v -> (v.Service.Cache.accepted, v.Service.Cache.detail, v.Service.Cache.measurement)
+          | Error f -> (false, Service.Scheduler.failure_to_string f, "") ))
   in
-  let one = run 1 and four = run 4 in
+  let one =
+    summary (Service.Scheduler.batch (Service.Scheduler.create (service_config ~workers:1 ())) jobs)
+  in
+  (* Four workers take all four jobs in one round, and one tick
+     completes the round. *)
+  let t = Service.Scheduler.create (service_config ~workers:4 ()) in
+  List.iter (fun j -> ignore (Result.get_ok (Service.Scheduler.submit t j))) jobs;
+  Service.Scheduler.tick t;
+  Alcotest.(check bool) "idle after one tick of four workers" false (Service.Scheduler.busy t);
+  let four = summary (Service.Scheduler.drain_completions t) in
   Alcotest.(check int) "4 completions" 4 (List.length one);
   Alcotest.(check bool) "same verdicts regardless of worker count" true (one = four);
   (* Spot-check the expected verdicts themselves. *)
@@ -346,13 +353,21 @@ let retry_recovers_from_transient () =
   let cfg =
     {
       (service_config ~workers:1 ()) with
-      Service.Scheduler.max_retries = 2;
-      fault = (fun ~attempt _ -> if attempt = 1 then Some corrupt_first_block else None);
+      Service.Scheduler.fault =
+        (fun ~attempt _ -> if attempt = 1 then Some corrupt_first_block else None);
     }
   in
   let t = Service.Scheduler.create cfg in
   ignore (Result.get_ok (Service.Scheduler.submit t (job (Lazy.force mcf_plain))));
-  (match Service.Scheduler.run_until_idle t with
+  (* The tampered attempt completes nothing; the retry runs on the very
+     next tick and completes the job. *)
+  Service.Scheduler.tick t;
+  Alcotest.(check int) "nothing completes on the tampered tick" 0
+    (List.length (Service.Scheduler.drain_completions t));
+  Alcotest.(check bool) "the retry is pending" true (Service.Scheduler.busy t);
+  Service.Scheduler.tick t;
+  Alcotest.(check bool) "idle after the second tick" false (Service.Scheduler.busy t);
+  (match Service.Scheduler.drain_completions t with
   | [ c ] -> (
       match c.Service.Scheduler.verdict with
       | Ok v ->
@@ -367,8 +382,7 @@ let retry_budget_exhausts () =
   let cfg =
     {
       (service_config ~workers:1 ()) with
-      Service.Scheduler.max_retries = 2;
-      fault = (fun ~attempt:_ _ -> Some corrupt_first_block);
+      Service.Scheduler.fault = (fun ~attempt:_ _ -> Some corrupt_first_block);
     }
   in
   let t = Service.Scheduler.create cfg in
@@ -388,7 +402,7 @@ let retry_budget_exhausts () =
   | l -> Alcotest.failf "expected one completion, got %d" (List.length l)
 
 (* Worker count must not change outcomes even when the mix includes a
-   transiently failing job (retry + backoff reordering pressure) and a
+   transiently failing job (its retry lands in a later round) and a
    job that exhausts the timeout budget. *)
 let batch_determinism_with_failures () =
   let plain = Lazy.force mcf_plain in
@@ -414,7 +428,7 @@ let batch_determinism_with_failures () =
       | None -> service_config ~workers:1 ()
       | Some f ->
           { (service_config ~workers:1 ()) with
-            Service.Scheduler.max_retries = 2; fault = f }
+            Service.Scheduler.fault = f }
     in
     match Service.Scheduler.batch (Service.Scheduler.create cfg) [ job ~policies payload ] with
     | [ { Service.Scheduler.verdict = Ok _; latency_cycles; _ } ] -> latency_cycles
@@ -439,8 +453,7 @@ let batch_determinism_with_failures () =
     let cfg =
       {
         (service_config ~workers ()) with
-        Service.Scheduler.max_retries = 2;
-        timeout_cycles = Some (slow_cycles - 1);
+        Service.Scheduler.timeout_cycles = Some (slow_cycles - 1);
         fault =
           (fun ~attempt j ->
             if j.Service.Scheduler.client = "flaky" && attempt = 1 then
@@ -522,8 +535,7 @@ let parallel_matches_sequential () =
     let base =
       {
         (service_config ~workers:8 ()) with
-        Service.Scheduler.max_retries = 2;
-        timeout_cycles = Some (slow_cycles - 1);
+        Service.Scheduler.timeout_cycles = Some (slow_cycles - 1);
         audit = true;
         fault =
           (fun ~attempt j ->

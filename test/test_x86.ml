@@ -351,118 +351,6 @@ let prop_decoder_prefix_closed =
       done;
       !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Byte sources: Str and Big must be indistinguishable                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The decoder reads either an OCaml string or an off-heap bigstring.
-   Whatever the bytes and bounds, both sources must give the same
-   answer, errors included. *)
-let big s = Decoder.Big (Elf64.Buf.Big.of_string s)
-
-(* Random bytes, or a valid instruction stream with a few bytes
-   overwritten, so the properties reach deep into the opcode tables. *)
-let gen_code =
-  QCheck.Gen.(
-    oneof
-      [
-        string_size ~gen:char (int_range 0 80);
-        (let* insns = list_size (int_range 1 24) gen_insn in
-         let code = Bytes.of_string (String.concat "" (List.map Encoder.encode insns)) in
-         let* edits = list_size (int_range 0 3) (pair nat char) in
-         List.iter (fun (i, c) -> Bytes.set code (i mod Bytes.length code) c) edits;
-         return (Bytes.to_string code));
-      ])
-
-let arb_code_bounds =
-  QCheck.make
-    ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
-    QCheck.Gen.(
-      let* s = gen_code in
-      let n = String.length s in
-      let* pos = int_range (-2) (n + 2) and* len = int_range 0 (n + 4) in
-      return (s, pos, len))
-
-let prop_src_decode_one =
-  QCheck.Test.make ~name:"decode_one_src: Str = Big" ~count:2000 arb_code_bounds
-    (fun (s, pos, _) -> Decoder.decode_one_src (Decoder.Str s) ~pos = Decoder.decode_one_src (big s) ~pos)
-
-let prop_src_decode_all =
-  QCheck.Test.make ~name:"decode_all_src: Str = Big" ~count:1000 arb_code_bounds
-    (fun (s, pos, len) ->
-      let pos = max pos 0 in
-      Decoder.decode_all_src (Decoder.Str s) = Decoder.decode_all_src (big s)
-      && Decoder.decode_all_src ~pos ~len (Decoder.Str s) = Decoder.decode_all_src ~pos ~len (big s))
-
-let prop_src_validate =
-  QCheck.Test.make ~name:"validate_src: Str = Big" ~count:1000 arb_code_bounds
-    (fun (s, pos, _) ->
-      let roots = [ max pos 0 ] in
-      Nacl.validate_src (Decoder.Str s) = Nacl.validate_src (big s)
-      && Nacl.validate_src ~roots (Decoder.Str s) = Nacl.validate_src ~roots (big s)
-      && Nacl.validate_src ~check_reachability:false (Decoder.Str s)
-         = Nacl.validate_src ~check_reachability:false (big s))
-
-(* The same oracle over real code: every workload's text section and
-   copies of it with bytes overwritten. The disassembly (entries and
-   modelled cycles) and every function digest (and its charge) must
-   not depend on the source; hashing covers both arms of
-   [Analysis.absorb]. *)
-let check_sources ~name ~base ~symbols code =
-  let disasm src =
-    let perf = Sgx.Perf.create () in
-    let r = Engarde.Disasm.run_src perf ~src ~base ~symbols in
-    (r, Sgx.Perf.total_cycles perf)
-  in
-  let rs, cs = disasm (Decoder.Str code) and rb, cb = disasm (big code) in
-  Alcotest.(check int) (name ^ ": disassembly cycles") cs cb;
-  match (rs, rb) with
-  | Error vs, Error vb ->
-      Alcotest.(check string) (name ^ ": violation") (Nacl.violation_to_string vs)
-        (Nacl.violation_to_string vb);
-      false
-  | Ok (bs, ss), Ok (bb, sb) ->
-      Alcotest.(check bool) (name ^ ": entries") true
-        (bs.Engarde.Disasm.entries = bb.Engarde.Disasm.entries);
-      let index buffer syms = Engarde.Analysis.build (Sgx.Perf.create ()) buffer syms in
-      let is = index bs ss and ib = index bb sb in
-      Array.iter
-        (fun (f : Engarde.Analysis.func) ->
-          let hash index =
-            let perf = Sgx.Perf.create () in
-            let h = Engarde.Analysis.function_hash index ~perf ~addr:f.fn_addr in
-            (h, Sgx.Perf.total_cycles perf)
-          in
-          let hs, ks = hash is and hb, kb = hash ib in
-          Alcotest.(check (option string)) (Printf.sprintf "%s: digest of %s" name f.fn_name) hs hb;
-          Alcotest.(check int) (Printf.sprintf "%s: hash cycles of %s" name f.fn_name) ks kb)
-        is.Engarde.Analysis.functions;
-      true
-  | _ -> Alcotest.failf "%s: one source disassembled, the other did not" name
-
-let src_differential_workloads () =
-  let open Toolchain in
-  List.iter
-    (fun bench ->
-      let name = Workloads.to_string bench in
-      let elf = Result.get_ok (Elf64.Reader.parse (Linker.link (Workloads.build Codegen.plain bench)).Linker.elf) in
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      let code = text.Elf64.Reader.data in
-      let check = check_sources ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols in
-      if not (check ~name code) then Alcotest.failf "%s: text section rejected" name;
-      (* Single-byte overwrites mostly land in immediates and keep the
-         code valid; the four-byte ones mostly break it. Both outcomes
-         must agree across sources. *)
-      let rng = Random.State.make [| Hashtbl.hash name |] in
-      for m = 0 to 5 do
-        let mutated = Bytes.of_string code in
-        for _ = 0 to if m < 3 then 0 else 3 do
-          Bytes.set mutated (Random.State.int rng (Bytes.length mutated)) (Char.chr (Random.State.int rng 256))
-        done;
-        ignore (check ~name:(Printf.sprintf "%s mutant %d" name m) (Bytes.to_string mutated))
-      done)
-    Toolchain.Workloads.all
-
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -506,7 +394,4 @@ let () =
           Alcotest.test_case "decode error surfaces" `Quick nacl_decode_error_surfaces;
         ]
         @ qsuite [ prop_nacl_accepts_padded_streams; prop_nacl_total_on_garbage ] );
-      ( "sources",
-        [ Alcotest.test_case "workload text, Str = Big" `Slow src_differential_workloads ]
-        @ qsuite [ prop_src_decode_one; prop_src_decode_all; prop_src_validate ] );
     ]
