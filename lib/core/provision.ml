@@ -122,10 +122,10 @@ let build_plan c =
   in
   bootstrap @ heap @ image
 
-(* Process-wide memo shared by every concurrent pipeline; the mutex is
-   the only cross-domain synchronization in this module. The replay
-   itself runs outside the lock — a racing duplicate computes the same
-   digest, so a lost update is harmless. *)
+(* Process-wide memo shared by every concurrent pipeline; its mutex and
+   the platform memo's below are the only cross-domain synchronization
+   in this module. The replay itself runs outside the lock — a racing
+   duplicate computes the same digest, so a lost update is harmless. *)
 let measurement_memo : (config, string) Hashtbl.t = Hashtbl.create 4
 let measurement_memo_lock = Mutex.create ()
 
@@ -152,6 +152,27 @@ let expected_measurement c =
       Hashtbl.replace measurement_memo c d;
       Mutex.unlock measurement_memo_lock;
       d
+
+(* The machine's quoting device, one per seed per process: real SGX has
+   one quoting key and one sealing root per machine, provisioned once
+   (PAPER.md §2), and the 1024-bit keygen costs more than a fast-config
+   inspection. [run] reads only the device's quoting key and seal
+   secret, never its monotonic counters, so pipelines on one seed can
+   share it. Unlike the measurement replay, the key is generated under
+   the lock: a racing first pipeline waits for it rather than
+   generating a duplicate. *)
+let platform_memo : (string, Sgx.Quote.device) Hashtbl.t = Hashtbl.create 4
+let platform_memo_lock = Mutex.create ()
+
+let platform c =
+  let seed = c.seed ^ "/device" in
+  Mutex.protect platform_memo_lock (fun () ->
+      match Hashtbl.find_opt platform_memo seed with
+      | Some d -> d
+      | None ->
+          let d = Sgx.Quote.device_create ~seed in
+          Hashtbl.replace platform_memo seed d;
+          d)
 
 let build_enclave c epc perf =
   let enclave = Sgx.Enclave.ecreate epc ~perf ~base:enclave_base ~size:enclave_size () in
@@ -340,7 +361,7 @@ let run ?tamper ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
   let report = Report.create () in
   let epc = Sgx.Epc.create ~pages:c.epc_pages ~seed:(c.seed ^ "/epc") () in
   let host = Sgx.Host_os.create () in
-  let device = Sgx.Quote.device_create ~seed:(c.seed ^ "/device") in
+  let device = platform c in
   let enclave, measurement = build_enclave c epc report.Report.provisioning in
   (* Enclave-side ephemeral keypair; its hash goes into the quote.
      Lazy: a successful 0-RTT resumption never generates it — that is

@@ -183,4 +183,10 @@ val run :
     full handshake transparently — the run still completes, with
     [channel_stats.fallback] set. [ticket_epoch] is the provider's
     ticket-key generation; bumping it invalidates all outstanding
-    tickets. [on_event] observes pipeline progress. *)
+    tickets. [on_event] observes pipeline progress.
+
+    The machine's quoting device comes from a process-wide memo keyed by
+    [config.seed]: the first run on a seed generates its 1024-bit key,
+    and every later run on that seed, in any domain, reuses it. A run
+    reads only the device's quoting key and seal secret, never its
+    monotonic counters. *)

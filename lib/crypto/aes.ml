@@ -1,22 +1,15 @@
-(* AES (FIPS 197). Byte-oriented implementation over int arrays: the
-   S-box and its inverse are computed once from the GF(2^8) inverse, so
-   no 256-entry literal tables need to be transcribed. *)
+(* AES (FIPS 197), forward cipher only: CTR mode never runs the inverse.
+   The state is four big-endian 32-bit column words, and each round is
+   sixteen lookups into four 256-entry T-tables. The S-box is computed
+   once from the GF(2^8) inverse and the T-tables from the S-box, so no
+   256-entry literal table needs to be transcribed. Table lookups index
+   by secret bytes: this is not constant-time (DESIGN.md §7). *)
 
 let xtime b =
   let b2 = b lsl 1 in
   if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
 
-(* GF(2^8) multiply, Russian-peasant style. *)
-let gmul a b =
-  let rec go a b acc =
-    if b = 0 then acc
-    else
-      let acc = if b land 1 <> 0 then acc lxor a else acc in
-      go (xtime a) (b lsr 1) acc
-  in
-  go a b 0
-
-let sbox, inv_sbox =
+let sbox =
   (* Multiplicative inverses via exponentiation tables on generator 3. *)
   let exp = Array.make 256 0 and log = Array.make 256 0 in
   let x = ref 1 in
@@ -27,21 +20,42 @@ let sbox, inv_sbox =
   done;
   let inverse b = if b = 0 then 0 else exp.((255 - log.(b)) mod 255) in
   let rotl8 v n = ((v lsl n) lor (v lsr (8 - n))) land 0xff in
-  let s = Array.make 256 0 and si = Array.make 256 0 in
-  for b = 0 to 255 do
-    let iv = inverse b in
-    let v = iv lxor rotl8 iv 1 lxor rotl8 iv 2 lxor rotl8 iv 3 lxor rotl8 iv 4 lxor 0x63 in
-    s.(b) <- v;
-    si.(v) <- b
-  done;
-  (s, si)
+  Array.init 256 (fun b ->
+      let iv = inverse b in
+      iv lxor rotl8 iv 1 lxor rotl8 iv 2 lxor rotl8 iv 3 lxor rotl8 iv 4 lxor 0x63)
+
+(* te0.(x) is SubBytes then MixColumns of byte x entering row 0 of a
+   column: the bytes 2·S(x), S(x), S(x), 3·S(x), big-endian. Rows 1–3
+   see the same column rotated one byte right per row. *)
+let te0, te1, te2, te3 =
+  let rotr8 w = (w lsr 8) lor ((w land 0xff) lsl 24) in
+  let t0 =
+    Array.map
+      (fun s ->
+        let s2 = xtime s in
+        (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s))
+      sbox
+  in
+  let t1 = Array.map rotr8 t0 in
+  let t2 = Array.map rotr8 t1 in
+  (t0, t1, t2, Array.map rotr8 t2)
 
 type key = {
-  round_keys : int array;  (* 16 bytes per round key, flattened *)
+  round_keys : int array;  (* one 32-bit word per column, 4 per round key *)
   rounds : int;            (* 10 for AES-128, 14 for AES-256 *)
 }
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+
+let be32 s i =
+  (Char.code s.[i] lsl 24) lor (Char.code s.[i + 1] lsl 16)
+  lor (Char.code s.[i + 2] lsl 8) lor Char.code s.[i + 3]
+
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
 
 let expand raw =
   let nk =
@@ -51,144 +65,96 @@ let expand raw =
     | n -> invalid_arg (Printf.sprintf "Aes.expand: key must be 16 or 32 bytes, got %d" n)
   in
   let rounds = nk + 6 in
-  let nwords = 4 * (rounds + 1) in
-  (* Words as 4-byte arrays flattened into one byte array. *)
-  let w = Array.make (4 * nwords) 0 in
-  for i = 0 to (4 * nk) - 1 do
-    w.(i) <- Char.code raw.[i]
-  done;
-  let tmp = Array.make 4 0 in
-  for i = nk to nwords - 1 do
-    for j = 0 to 3 do tmp.(j) <- w.((4 * (i - 1)) + j) done;
-    if i mod nk = 0 then begin
-      (* RotWord + SubWord + Rcon *)
-      let t0 = tmp.(0) in
-      tmp.(0) <- sbox.(tmp.(1)) lxor rcon.((i / nk) - 1);
-      tmp.(1) <- sbox.(tmp.(2));
-      tmp.(2) <- sbox.(tmp.(3));
-      tmp.(3) <- sbox.(t0)
-    end
-    else if nk > 6 && i mod nk = 4 then
-      for j = 0 to 3 do tmp.(j) <- sbox.(tmp.(j)) done;
-    for j = 0 to 3 do w.((4 * i) + j) <- w.((4 * (i - nk)) + j) lxor tmp.(j) done
+  let w = Array.make (4 * (rounds + 1)) 0 in
+  for i = 0 to nk - 1 do w.(i) <- be32 raw (4 * i) done;
+  for i = nk to Array.length w - 1 do
+    let t = w.(i - 1) in
+    let t =
+      if i mod nk = 0 then
+        (* RotWord + SubWord + Rcon *)
+        sub_word (((t lsl 8) land 0xffffffff) lor (t lsr 24)) lxor (rcon.((i / nk) - 1) lsl 24)
+      else if nk > 6 && i mod nk = 4 then sub_word t
+      else t
+    in
+    w.(i) <- w.(i - nk) lxor t
   done;
   { round_keys = w; rounds }
 
-let add_round_key state key round =
-  let base = 16 * round in
-  for i = 0 to 15 do state.(i) <- state.(i) lxor key.round_keys.(base + i) done
+(* The last round: SubBytes and ShiftRows of one output column, whose
+   rows come from columns [a], [b], [c], [d]; no MixColumns. *)
+let last_column a b c d k =
+  (sbox.(a lsr 24) lsl 24)
+  lor (sbox.((b lsr 16) land 0xff) lsl 16)
+  lor (sbox.((c lsr 8) land 0xff) lsl 8)
+  lor sbox.(d land 0xff)
+  lxor k
 
-(* State layout: column-major as in FIPS 197 — state.(4*c + r) is row r,
-   column c, matching the flat byte order of the input block. *)
-
-let sub_bytes state = for i = 0 to 15 do state.(i) <- sbox.(state.(i)) done
-let inv_sub_bytes state = for i = 0 to 15 do state.(i) <- inv_sbox.(state.(i)) done
-
-let shift_rows state =
-  let at r c = state.((4 * c) + r) in
-  let copy = Array.copy state in
-  let set r c v = copy.((4 * c) + r) <- v in
-  for r = 1 to 3 do
-    for c = 0 to 3 do set r c (at r ((c + r) mod 4)) done
+(* Encrypt the block whose column words are [x0..x3] into [out.(0..3)].
+   Column j of a round's output takes row r from column j + r of its
+   input (ShiftRows), which is why each line rotates the columns. Every
+   word stays below 2^32, so each table index is below 256: the lookups
+   skip the bounds check. *)
+let encrypt_words { round_keys = rk; rounds } x0 x1 x2 x3 (out : int array) =
+  let t0 i = Array.unsafe_get te0 i and t1 i = Array.unsafe_get te1 i in
+  let t2 i = Array.unsafe_get te2 i and t3 i = Array.unsafe_get te3 i in
+  let s0 = ref (x0 lxor rk.(0)) and s1 = ref (x1 lxor rk.(1)) in
+  let s2 = ref (x2 lxor rk.(2)) and s3 = ref (x3 lxor rk.(3)) in
+  for r = 1 to rounds - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and b = 4 * r in
+    s0 :=
+      t0 (a0 lsr 24) lxor t1 ((a1 lsr 16) land 0xff) lxor t2 ((a2 lsr 8) land 0xff)
+      lxor t3 (a3 land 0xff) lxor rk.(b);
+    s1 :=
+      t0 (a1 lsr 24) lxor t1 ((a2 lsr 16) land 0xff) lxor t2 ((a3 lsr 8) land 0xff)
+      lxor t3 (a0 land 0xff) lxor rk.(b + 1);
+    s2 :=
+      t0 (a2 lsr 24) lxor t1 ((a3 lsr 16) land 0xff) lxor t2 ((a0 lsr 8) land 0xff)
+      lxor t3 (a1 land 0xff) lxor rk.(b + 2);
+    s3 :=
+      t0 (a3 lsr 24) lxor t1 ((a0 lsr 16) land 0xff) lxor t2 ((a1 lsr 8) land 0xff)
+      lxor t3 (a2 land 0xff) lxor rk.(b + 3)
   done;
-  Array.blit copy 0 state 0 16
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and b = 4 * rounds in
+  out.(0) <- last_column a0 a1 a2 a3 rk.(b);
+  out.(1) <- last_column a1 a2 a3 a0 rk.(b + 1);
+  out.(2) <- last_column a2 a3 a0 a1 rk.(b + 2);
+  out.(3) <- last_column a3 a0 a1 a2 rk.(b + 3)
 
-let inv_shift_rows state =
-  let at r c = state.((4 * c) + r) in
-  let copy = Array.copy state in
-  let set r c v = copy.((4 * c) + r) <- v in
-  for r = 1 to 3 do
-    for c = 0 to 3 do set r c (at r ((c + 4 - r) mod 4)) done
-  done;
-  Array.blit copy 0 state 0 16
-
-let mix_columns state =
-  for c = 0 to 3 do
-    let b = 4 * c in
-    let a0 = state.(b) and a1 = state.(b + 1) and a2 = state.(b + 2) and a3 = state.(b + 3) in
-    state.(b) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    state.(b + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    state.(b + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    state.(b + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let b = 4 * c in
-    let a0 = state.(b) and a1 = state.(b + 1) and a2 = state.(b + 2) and a3 = state.(b + 3) in
-    state.(b) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.(b + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.(b + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.(b + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let load_block block =
-  if String.length block <> 16 then invalid_arg "Aes: block must be 16 bytes";
-  Array.init 16 (fun i -> Char.code block.[i])
-
-let store_block state =
-  String.init 16 (fun i -> Char.chr state.(i))
+(* Byte [j] of the block held as four words; callers keep [j] in 0–15. *)
+let block_byte (words : int array) j =
+  (Array.unsafe_get words (j lsr 2) lsr (24 - (8 * (j land 3)))) land 0xff
 
 let encrypt_block key block =
-  let state = load_block block in
-  add_round_key state key 0;
-  for round = 1 to key.rounds - 1 do
-    sub_bytes state;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key round
-  done;
-  sub_bytes state;
-  shift_rows state;
-  add_round_key state key key.rounds;
-  store_block state
-
-let decrypt_block key block =
-  let state = load_block block in
-  add_round_key state key key.rounds;
-  inv_shift_rows state;
-  inv_sub_bytes state;
-  for round = key.rounds - 1 downto 1 do
-    add_round_key state key round;
-    inv_mix_columns state;
-    inv_shift_rows state;
-    inv_sub_bytes state
-  done;
-  add_round_key state key 0;
-  store_block state
-
-let counter_block nonce index =
-  if String.length nonce <> 16 then invalid_arg "Aes.ctr: nonce must be 16 bytes";
-  let b = Bytes.of_string nonce in
-  (* Add [index] into the trailing 8 bytes, big-endian, with carry. *)
-  let rec add_int i value =
-    if i > 8 && value > 0 then begin
-      let pos = i - 1 in
-      let v = Char.code (Bytes.get b pos) + (value land 0xff) in
-      Bytes.set b pos (Char.chr (v land 0xff));
-      add_int pos ((value lsr 8) + (v lsr 8))
-    end
-  in
-  add_int 16 index;
-  Bytes.to_string b
+  if String.length block <> 16 then invalid_arg "Aes: block must be 16 bytes";
+  let out = Array.make 4 0 in
+  encrypt_words key (be32 block 0) (be32 block 4) (be32 block 8) (be32 block 12) out;
+  String.init 16 (fun j -> Char.chr (block_byte out j))
 
 let ctr_at ~key ~nonce ~offset data =
+  if String.length nonce <> 16 then invalid_arg "Aes.ctr: nonce must be 16 bytes";
   if offset < 0 then invalid_arg "Aes.ctr_at: negative offset";
+  (* Counter block i: bytes 0–7 are the nonce's, bytes 8–15 are (the
+     nonce's low 64 bits + i) mod 2^64, big-endian, built as two words. *)
+  let c0 = be32 nonce 0 and c1 = be32 nonce 4 in
+  let hi = be32 nonce 8 and lo = be32 nonce 12 in
   let len = String.length data in
   let out = Bytes.create len in
+  let keystream = Array.make 4 0 in
   let pos = ref 0 in
   while !pos < len do
     let stream_pos = offset + !pos in
-    let block_index = stream_pos / 16 in
-    let in_block = stream_pos mod 16 in
-    let keystream = encrypt_block key (counter_block nonce block_index) in
-    let n = min (16 - in_block) (len - !pos) in
-    for i = 0 to n - 1 do
-      Bytes.set out (!pos + i)
-        (Char.chr (Char.code data.[!pos + i] lxor Char.code keystream.[in_block + i]))
+    let index = stream_pos lsr 4 and in_block = stream_pos land 15 in
+    let low = lo + (index land 0xffffffff) in
+    let high = (hi + (index lsr 32) + (low lsr 32)) land 0xffffffff in
+    encrypt_words key c0 c1 high (low land 0xffffffff) keystream;
+    let n = Int.min (16 - in_block) (len - !pos) in
+    for j = in_block to in_block + n - 1 do
+      let p = !pos + j - in_block in
+      Bytes.unsafe_set out p
+        (Char.unsafe_chr (Char.code (String.unsafe_get data p) lxor block_byte keystream j))
     done;
     pos := !pos + n
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let ctr ~key ~nonce data = ctr_at ~key ~nonce ~offset:0 data

@@ -1,79 +1,82 @@
-(* SHA-256 over int32 state, FIPS 180-4. Message schedule and compression
-   are kept allocation-free per block: one reusable int32 array. *)
+(* SHA-256, FIPS 180-4. The chaining state, the message schedule and
+   the working variables are native ints holding 32-bit words, so
+   compressing a block allocates nothing. *)
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type ctx = {
-  h : int32 array;            (* 8-word chaining state *)
+  h : int array;              (* 8-word chaining state *)
   block : Bytes.t;            (* 64-byte input buffer *)
   mutable fill : int;         (* bytes currently buffered *)
   mutable total : int64;      (* total message bytes absorbed *)
-  w : int32 array;            (* 64-word message schedule, reused *)
+  w : int array;              (* 64-word message schedule, reused *)
 }
 
 let init () =
   { h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-         0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     block = Bytes.create 64;
     fill = 0;
     total = 0L;
-    w = Array.make 64 0l }
+    w = Array.make 64 0 }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
+let mask = 0xffffffff
+
+(* Rotate the 32-bit word [x] right, leaving junk above bit 31. Sums
+   and xors of such values are exact in their low 32 bits (2^32 divides
+   the native int's 2^63 modulus), so the rounds mask only what they
+   store: every word a shift reads from is clean. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Schedule expansion + 64 rounds, once the first 16 words of [w] hold
    the block. Shared by the Bytes / string / bigstring block loaders so
-   every input path runs the identical FIPS 180-4 compression. *)
+   every input path runs the identical FIPS 180-4 compression. Indices
+   are loop-bounded within the 64-entry [w] and [k]. *)
 let compress_rounds ctx =
   let w = ctx.w in
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18 ^% Int32.shift_right_logical w.(i - 15) 3 in
-    let s1 = rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19 ^% Int32.shift_right_logical w.(i - 2) 10 in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b' = ref h.(1) and c = ref h.(2) and d = ref h.(3)
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
   and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (Int32.lognot !e &% !g) in
-    let t1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b') ^% (!a &% !c) ^% (!b' &% !c) in
-    let t2 = s0 +% maj in
-    hh := !g; g := !f; f := !e; e := !d +% t1;
-    d := !c; c := !b'; b' := !a; a := t1 +% t2
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
+    hh := !g; g := !f; f := e'; e := (!d + t1) land mask;
+    d := !c; c := !b; b := a'; a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- h.(0) +% !a; h.(1) <- h.(1) +% !b'; h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d; h.(4) <- h.(4) +% !e; h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g; h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask; h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask; h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask; h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask; h.(7) <- (h.(7) + !hh) land mask
 
-let word b0 b1 b2 b3 =
-  Int32.logor
-    (Int32.shift_left (Int32.of_int b0) 24)
-    (Int32.logor
-       (Int32.shift_left (Int32.of_int b1) 16)
-       (Int32.logor (Int32.shift_left (Int32.of_int b2) 8) (Int32.of_int b3)))
+let word b0 b1 b2 b3 = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
 
 let compress ctx =
   let w = ctx.w and b = ctx.block in
@@ -182,27 +185,21 @@ let update_big_sub ctx (b : bigstring) ~pos ~len =
 
 let update ctx s = update_sub ctx s ~pos:0 ~len:(String.length s)
 
+(* The 8 chaining words, big-endian, at the start of [b]. *)
+let put_words ctx b = Array.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) ctx.h
+
 let finalize ctx =
   let bits = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  update ctx "\x80";
-  while ctx.fill <> 56 do update ctx "\x00" done;
-  let len8 = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len8 i
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * (7 - i))) 0xffL)))
-  done;
-  update ctx (Bytes.to_string len8);
+  (* Padding: 0x80, zeros up to 56 mod 64, 8-byte big-endian bit length. *)
+  let zeros = (119 - ctx.fill) mod 64 in
+  let pad = Bytes.make (1 + zeros + 8) '\x00' in
+  Bytes.set pad 0 '\x80';
+  Bytes.set_int64_be pad (1 + zeros) bits;
+  update ctx (Bytes.unsafe_to_string pad);
   assert (ctx.fill = 0);
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xffl)))
-    done
-  done;
-  Bytes.to_string out
+  put_words ctx out;
+  Bytes.unsafe_to_string out
 
 (* Midstate import/export: the chaining state of a partially-absorbed
    message, serialized to a fixed 104-byte string. Layout: 8 big-endian
@@ -216,45 +213,25 @@ let finalize ctx =
 let state_len = 32 + 8 + 1 + 63
 
 let export_state ctx =
-  let b = Bytes.create state_len in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    for j = 0 to 3 do
-      Bytes.set b ((4 * i) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xffl)))
-    done
-  done;
-  for i = 0 to 7 do
-    Bytes.set b (32 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical ctx.total (8 * (7 - i))) 0xffL)))
-  done;
+  let b = Bytes.make state_len '\x00' in
+  put_words ctx b;
+  Bytes.set_int64_be b 32 ctx.total;
   Bytes.set b 40 (Char.chr ctx.fill);
   Bytes.blit ctx.block 0 b 41 ctx.fill;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let import_state s =
   if String.length s <> state_len then None
   else begin
-    let fill = Char.code s.[40] in
-    let total = ref 0L in
-    for i = 0 to 7 do
-      total := Int64.logor (Int64.shift_left !total 8) (Int64.of_int (Char.code s.[32 + i]))
-    done;
+    let fill = Char.code s.[40] and total = String.get_int64_be s 32 in
     (* A state between updates always has fill < 64, and the buffered
        tail is exactly total mod 64. *)
-    if fill > 63 || Int64.rem !total 64L <> Int64.of_int fill || !total < 0L then None
+    if fill > 63 || Int64.rem total 64L <> Int64.of_int fill || total < 0L then None
     else begin
-      let h = Array.make 8 0l in
-      for i = 0 to 7 do
-        let v = ref 0l in
-        for j = 0 to 3 do
-          v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (Char.code s.[(4 * i) + j]))
-        done;
-        h.(i) <- !v
-      done;
+      let h = Array.init 8 (fun i -> Int32.to_int (String.get_int32_be s (4 * i)) land mask) in
       let block = Bytes.make 64 '\x00' in
       Bytes.blit_string s 41 block 0 fill;
-      Some { h; block; fill; total = !total; w = Array.make 64 0l }
+      Some { h; block; fill; total; w = Array.make 64 0 }
     end
   end
 

@@ -5,8 +5,9 @@ type device = {
 }
 
 (* 1024-bit device key: the quoting enclave signs one digest per
-   attestation, so keygen cost dominates and stays off the measured
-   path (device provisioning happens once per machine). *)
+   attestation, so keygen cost dominates. Every call generates it
+   afresh; device provisioning happens once per machine, so a host
+   keeps the device it creates (Provision.run memoizes one per seed). *)
 let device_create ~seed =
   let drbg = Crypto.Drbg.create ~personalization:"sgx-device-key" seed in
   let seal_drbg = Crypto.Drbg.create ~personalization:"sgx-seal-secret" seed in

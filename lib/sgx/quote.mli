@@ -11,7 +11,11 @@ type device
 
 val device_create : seed:string -> device
 (** Provision a machine with its attestation key (deterministic from
-    [seed], so experiments are reproducible). *)
+    [seed], so experiments are reproducible) and its sealing secret,
+    with every monotonic counter at 0. Each call generates the 1024-bit
+    key afresh, which costs far more than a quote: a host creates its
+    device once and keeps it. [Engarde.Provision.run] keeps one per
+    seed for the life of the process. *)
 
 val device_public : device -> Crypto.Rsa.public
 (** What Intel's attestation service would publish for verification. *)

@@ -102,6 +102,47 @@ let prop_midstate_resume =
       in
       resumed = List.map Sha256.digest msgs)
 
+(* A peer-supplied midstate may claim any byte count below 2^63. Past
+   2^62 it no longer fits an OCaml int, and the bit length in the
+   padding wraps mod 2^64. The pinned digests come from a separate
+   int32 implementation of FIPS 180-4, not from this one. *)
+let sha256_midstate_huge_total () =
+  let ctx = Sha256.init () in
+  Sha256.update ctx (String.init 109 (fun i -> Char.chr (((i * 13) + 1) land 0xff)));
+  let state = Sha256.export_state ctx in
+  let with_total total =
+    let b = Bytes.of_string state in
+    Bytes.set_int64_be b 32 total;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (total, expect) ->
+      match Sha256.import_state (with_total total) with
+      | None -> Alcotest.failf "total %Lx refused" total
+      | Some ctx ->
+          Sha256.update ctx (String.make 100 'z');
+          check_hex (Printf.sprintf "resumed at %Lx" total) expect (Sha256.finalize ctx))
+    [
+      (0x400000000000002dL, "40f3f3520906f5a58a6122a7fd9f71fc6719db5706167d70820238c3dc86444e");
+      (0x40000000000c0e6dL, "7526de97d4ae554412e03bec69db953935afb727597d645e450e992f3b2cfcda");
+      (0x7fffffffffffff2dL, "c9270ce709a30034af914769114baeef21b4fa9f0953a8a252af7b2b471e28f5");
+    ];
+  Alcotest.(check bool) "total >= 2^63 refused" true
+    (Sha256.import_state (with_total 0x800000000000002dL) = None)
+
+(* An exported midstate is a function of the context alone: the unused
+   tail of its block field is zeros, whatever the heap held before. *)
+let sha256_export_deterministic () =
+  let ctx = Sha256.init () in
+  Sha256.update ctx "abc";
+  let first = Sha256.export_state ctx in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Bytes.make 100 'X'))
+  done;
+  Gc.minor ();
+  Alcotest.(check string) "same export" first (Sha256.export_state ctx);
+  Alcotest.(check string) "zero tail" (String.make 60 '\x00') (String.sub first 44 60)
+
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA256: RFC 4231 vectors                                       *)
 (* ------------------------------------------------------------------ *)
@@ -148,32 +189,91 @@ let of_hex s =
 let aes128_fips197 () =
   let key = Aes.expand (of_hex "000102030405060708090a0b0c0d0e0f") in
   let ct = Aes.encrypt_block key (of_hex "00112233445566778899aabbccddeeff") in
-  check_hex "aes128 encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" ct;
-  let pt = Aes.decrypt_block key ct in
-  check_hex "aes128 decrypt" "00112233445566778899aabbccddeeff" pt
+  check_hex "aes128 encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" ct
 
 let aes256_fips197 () =
   let key =
     Aes.expand (of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
   in
   let ct = Aes.encrypt_block key (of_hex "00112233445566778899aabbccddeeff") in
-  check_hex "aes256 encrypt" "8ea2b7ca516745bfeafc49904b496089" ct;
-  check_hex "aes256 decrypt" "00112233445566778899aabbccddeeff" (Aes.decrypt_block key ct)
+  check_hex "aes256 encrypt" "8ea2b7ca516745bfeafc49904b496089" ct
+
+(* NIST SP 800-38A F.5: the plaintext and initial counter block are the
+   same for every key size. *)
+let sp80038a_nonce = of_hex "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"
+
+let sp80038a_plaintext =
+  of_hex
+    ("6bc1bee22e409f96e93d7e117393172a" ^ "ae2d8a571e03ac9c9eb76fac45af8e51"
+   ^ "30c81c46a35ce411e5fbc1191a0a52ef" ^ "f69f2445df4f9b17ad2b417be66c3710")
 
 let aes_sp80038a_ctr () =
-  (* NIST SP 800-38A F.5.1: AES-128-CTR *)
+  (* F.5.1: AES-128-CTR *)
   let key = Aes.expand (of_hex "2b7e151628aed2a6abf7158809cf4f3c") in
-  let nonce = of_hex "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
-  let pt =
-    of_hex
-      ("6bc1bee22e409f96e93d7e117393172a" ^ "ae2d8a571e03ac9c9eb76fac45af8e51"
-     ^ "30c81c46a35ce411e5fbc1191a0a52ef" ^ "f69f2445df4f9b17ad2b417be66c3710")
-  in
   let expect =
     "874d6191b620e3261bef6864990db6ce" ^ "9806f66b7970fdff8617187bb9fffdff"
     ^ "5ae4df3edbd5d35e5b4f09020db03eab" ^ "1e031dda2fbe03d1792170a0f3009cee"
   in
-  check_hex "aes128-ctr sp800-38a" expect (Aes.ctr ~key ~nonce pt)
+  check_hex "aes128-ctr sp800-38a" expect (Aes.ctr ~key ~nonce:sp80038a_nonce sp80038a_plaintext)
+
+let aes256_sp80038a_ctr () =
+  (* F.5.5: AES-256-CTR, the key size every channel uses *)
+  let key =
+    Aes.expand (of_hex "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
+  in
+  let expect =
+    "601ec313775789a5b7a7f504bbf3d228" ^ "f443e3ca4d62b59aca84e990cacaf5c5"
+    ^ "2b0930daa23de94ce87017ba2d84988d" ^ "dfc9c58db67aada613c2dd08457941a6"
+  in
+  check_hex "aes256-ctr sp800-38a" expect (Aes.ctr ~key ~nonce:sp80038a_nonce sp80038a_plaintext)
+
+(* The counter is the nonce's last 8 bytes plus the block index, mod
+   2^64. Five blocks from ...fffffffe carry from byte 12 into byte 11;
+   five from ...fffffffffffffffe wrap to zero and leave bytes 0-7 alone,
+   so their third keystream block is the first one of the all-zero
+   counter. The pinned digests come from a separate byte-oriented
+   implementation of FIPS 197, not from this one. *)
+let aes_ctr_carry_and_wrap () =
+  let key = Aes.expand (String.init 32 (fun i -> Char.chr ((i * 11) land 0xff))) in
+  let data = String.init 80 (fun i -> Char.chr (((i * 37) + 5) land 0xff)) in
+  let ctr nonce = Aes.ctr ~key ~nonce:(of_hex nonce) data in
+  check_hex "carry into byte 11"
+    ("d6e3279d0a2efd9491abe97536dec78c59bb571d8899ff755b69ce782d8328b4"
+   ^ "44e8389e6efd4299497d8fada0cdb5f215f1a8b0830a375d68f3bbf37da2aa8e"
+   ^ "7f10bee9c9b36b61a603ddee6b789570")
+    (ctr "00112233445566778899aabbfffffffe");
+  check_hex "wrap at 2^64"
+    ("093cb7db75aad595557725043fed9e1eaa4b248b01262055d54ccc016a97b33a"
+   ^ "9aa1ece2da1bcd51156f7d7d5e85c2ce77122a55f63b426348aaf124246b1b8b"
+   ^ "fa6fcaa964b8500573a4c2b31544d3f2")
+    (ctr "0011223344556677fffffffffffffffe");
+  let keystream nonce = Aes.ctr ~key ~nonce:(of_hex nonce) (String.make 48 '\x00') in
+  Alcotest.(check string) "wrapped block = block 0 of the zero counter"
+    (String.sub (keystream "00112233445566770000000000000000") 0 16)
+    (String.sub (keystream "0011223344556677fffffffffffffffe") 32 16)
+
+(* An offset of 2^36 bytes is 2^32 blocks: the block index no longer
+   fits the counter's low word, and advancing by it is the same as
+   adding one to bytes 8-11 of the nonce. *)
+let aes_ctr_at_beyond_2_32_blocks () =
+  let key = Aes.expand (String.init 16 (fun i -> Char.chr (0xa0 + i))) in
+  let nonce = of_hex "0f0e0d0c0b0a09080706050403020100" in
+  let data = String.init 80 (fun i -> Char.chr (((i * 37) + 5) land 0xff)) in
+  let at offset = Aes.ctr_at ~key ~nonce ~offset data in
+  let far = at ((1 lsl 36) + 87) in
+  check_hex "offset 2^36 + 87"
+    ("c9bcff1dfdcfd37f23a302507e00b246633b0492c49605e796612caa05f1d21a"
+   ^ "37442cac1c473d5f6583807bceec04a9dc9741b2978781a59859b27bf560704a"
+   ^ "70c842cd2817f5a1f4d7315a024da9e6")
+    far;
+  check_hex "offset 3 * 2^40 + 9"
+    ("bc77b93feb35448eb8be5cda4d38e843e1fc84c52ea50fd39d4bc6395a2a02cd"
+   ^ "1480ffec947bfd0160b741db6bd1b94acb27a7aa391a09cdaa7214b3a3d3d03f"
+   ^ "81f1dbf6579472e53df9d833b4d8eeb9")
+    (at ((3 lsl 40) + 9));
+  Alcotest.(check string) "2^32 blocks on = high counter word + 1"
+    (Aes.ctr_at ~key ~nonce:(of_hex "0f0e0d0c0b0a09080706050503020100") ~offset:87 data)
+    far
 
 let aes_ctr_involution () =
   let key = Aes.expand (String.make 32 'k') in
@@ -196,6 +296,47 @@ let aes_bad_key_length () =
   Alcotest.check_raises "24-byte key rejected"
     (Invalid_argument "Aes.expand: key must be 16 or 32 bytes, got 24") (fun () ->
       ignore (Aes.expand (String.make 24 'x')))
+
+(* The nonce is checked on entry, so empty data cannot slip a short one
+   past it. *)
+let aes_bad_nonce_length () =
+  let key = Aes.expand (String.make 16 'k') in
+  let bad = Invalid_argument "Aes.ctr: nonce must be 16 bytes" in
+  Alcotest.check_raises "short nonce, empty data" bad (fun () ->
+      ignore (Aes.ctr ~key ~nonce:"short" ""));
+  Alcotest.check_raises "long nonce, empty data at an offset" bad (fun () ->
+      ignore (Aes.ctr_at ~key ~nonce:(String.make 17 'n') ~offset:5 ""));
+  Alcotest.check_raises "short nonce, some data" bad (fun () ->
+      ignore (Aes.ctr ~key ~nonce:"short" "data"))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ceilings: the ciphers run without per-block garbage      *)
+(* ------------------------------------------------------------------ *)
+
+let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7) land 0xff))
+
+(* Empty the minor heap first: a minor collection during the
+   measurement otherwise adds up to a minor heap's worth of promotions
+   made for earlier tests to the reading. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let check_ceiling name ~ceiling bytes =
+  if bytes > float_of_int ceiling then
+    Alcotest.failf "%s allocated %.0f bytes, ceiling %d" name bytes ceiling
+
+(* The output string, plus a little. *)
+let aes_ctr_allocation () =
+  let key = Aes.expand (String.make 32 'k') and nonce = String.make 16 'n' in
+  check_ceiling "Aes.ctr over 1 MiB" ~ceiling:((1 lsl 20) + (64 lsl 10))
+    (allocated (fun () -> Aes.ctr ~key ~nonce mib))
+
+let sha256_allocation () =
+  check_ceiling "Sha256.digest over 1 MiB" ~ceiling:(64 lsl 10)
+    (allocated (fun () -> Sha256.digest mib))
 
 (* ------------------------------------------------------------------ *)
 (* Bignum: unit + property tests                                       *)
@@ -473,6 +614,9 @@ let () =
           Alcotest.test_case "streaming" `Quick sha256_streaming_equals_oneshot;
           Alcotest.test_case "update_sub bounds" `Quick sha256_update_sub_bounds;
           Alcotest.test_case "bigarray streaming" `Quick sha256_big_buffer_equals_string;
+          Alcotest.test_case "midstate total >= 2^62" `Quick sha256_midstate_huge_total;
+          Alcotest.test_case "export pads with zeros" `Quick sha256_export_deterministic;
+          Alcotest.test_case "digest allocation ceiling" `Quick sha256_allocation;
         ]
         @ qsuite [ prop_midstate_resume ] );
       ( "hmac",
@@ -495,9 +639,14 @@ let () =
           Alcotest.test_case "fips197 aes128" `Quick aes128_fips197;
           Alcotest.test_case "fips197 aes256" `Quick aes256_fips197;
           Alcotest.test_case "sp800-38a ctr" `Quick aes_sp80038a_ctr;
+          Alcotest.test_case "sp800-38a ctr aes256" `Quick aes256_sp80038a_ctr;
           Alcotest.test_case "ctr involution" `Quick aes_ctr_involution;
           Alcotest.test_case "ctr_at offsets" `Quick aes_ctr_at_offset;
+          Alcotest.test_case "ctr carry and wrap" `Quick aes_ctr_carry_and_wrap;
+          Alcotest.test_case "ctr_at beyond 2^32 blocks" `Quick aes_ctr_at_beyond_2_32_blocks;
           Alcotest.test_case "bad key length" `Quick aes_bad_key_length;
+          Alcotest.test_case "bad nonce length" `Quick aes_bad_nonce_length;
+          Alcotest.test_case "ctr allocation ceiling" `Quick aes_ctr_allocation;
         ] );
       ( "bignum",
         [

@@ -158,10 +158,12 @@ let pipeline_events_in_order () =
 (* The ELF magic is checked once, as soon as 16 bytes have landed: a
    non-ELF stream must not copy its growing prefix on every record.
    Both 2 MiB streams are rejected as malformed and differ only in their
-   first five bytes, so they should allocate alike. *)
+   first five bytes, so they should allocate alike. An unmeasured run
+   first fills the process-wide memos (the client's expected measurement
+   and the seed's platform key), which only the first run on a
+   configuration pays for. *)
 let non_elf_prefix_checked_once () =
   let cfg = { (small_config "prefix-once") with Engarde.Provision.heap_pages = 1024 } in
-  ignore (Engarde.Provision.expected_measurement cfg);
   let allocated magic =
     let payload = magic ^ String.make ((2 * 1024 * 1024) - 5) '\x00' in
     let before = Gc.allocated_bytes () in
@@ -172,6 +174,7 @@ let non_elf_prefix_checked_once () =
     | r -> Alcotest.failf "%S stream: %s" magic (result_shape r));
     bytes
   in
+  ignore (allocated "\x7fELF\x02");
   let elf = allocated "\x7fELF\x02" in
   let other = allocated "\x00ELF\x02" in
   if Float.abs (other -. elf) >= 0.05 *. elf then
@@ -272,14 +275,16 @@ let zero_rtt_tampered_ticket () =
    before anything reads staging: never a loader fault blamed on the
    binary, and never a staging read sized by the sender. The adversary
    holds the resumption secret of the cold run's ticket, so it can open
-   and re-seal every 0-RTT record; it rewrites only the Fin's length. *)
+   and re-seal every 0-RTT record and rewrite the Fin. A forged length
+   must cost what a forged digest does: both are refused at the same
+   stage, before the examine and load work an honest run goes on to. *)
 let zero_rtt_forged_fin_length () =
   let payload = Lazy.force mcf_payload in
   let cfg = small_config "stream-forged-fin" in
   let cold = Engarde.Provision.run ~channel:`Streaming cfg ~payload in
   accepted_outcome "cold" cold;
   let ticket = Option.get cold.Engarde.Provision.ticket in
-  let run total_len =
+  let run ?total_len ?digest () =
     let keys = ref None in
     let tamper = function
       | Channel.Wire.Resume { nonce; _ } as m ->
@@ -289,8 +294,13 @@ let zero_rtt_forged_fin_length () =
       | Channel.Wire.Record { epoch; rn; ciphertext; tag } -> (
           let reader, writer = Option.get !keys in
           match Channel.Record.read reader ~epoch ~rn ~ciphertext ~tag with
-          | Channel.Record.Accept (Channel.Record.Fin { digest; _ }) ->
-              Channel.Record.seal writer (Channel.Record.Fin { total_len; digest })
+          | Channel.Record.Accept (Channel.Record.Fin fin) ->
+              Channel.Record.seal writer
+                (Channel.Record.Fin
+                   {
+                     total_len = Option.value total_len ~default:fin.total_len;
+                     digest = Option.value digest ~default:fin.digest;
+                   })
           | Channel.Record.Accept pt -> Channel.Record.seal writer pt
           | _ -> Alcotest.failf "record %d did not open under the 0-RTT keys" rn)
       | m -> m
@@ -299,19 +309,50 @@ let zero_rtt_forged_fin_length () =
     let o = Engarde.Provision.run ~channel:`Streaming ~tamper ~resume:ticket cfg ~payload in
     (o, Gc.allocated_bytes () -. before)
   in
-  let honest, honest_bytes = run (String.length payload) in
-  accepted_outcome "honest length, re-sealed" honest;
+  let honest, _ = run () in
+  accepted_outcome "honest Fin, re-sealed" honest;
   Alcotest.(check bool) "re-sealed run resumed" true (stats "honest" honest).Engarde.Provision.resumed;
+  let forged_digest, digest_bytes = run ~digest:(String.make 32 '\x00') () in
+  Alcotest.(check string) "forged digest"
+    "error: transfer tampered: payload digest mismatch"
+    (result_shape forged_digest.Engarde.Provision.result);
   List.iter
     (fun total_len ->
-      let o, bytes = run total_len in
+      let o, bytes = run ~total_len () in
       (match o.Engarde.Provision.result with
       | Error (Engarde.Provision.Transfer_tampered _) -> ()
       | r -> Alcotest.failf "Fin length %d: %s" total_len (result_shape r));
-      if Float.abs (bytes -. honest_bytes) >= 0.1 *. honest_bytes then
-        Alcotest.failf "Fin length %d allocated %.0f MB against %.0f MB honestly" total_len
-          (bytes /. 1e6) (honest_bytes /. 1e6))
+      if Float.abs (bytes -. digest_bytes) >= 0.1 *. digest_bytes then
+        Alcotest.failf "Fin length %d allocated %.0f MB against %.0f MB for a forged digest"
+          total_len (bytes /. 1e6) (digest_bytes /. 1e6))
     [ 1000; 4_000_000; 0xffff_ffff ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ceiling: a warm job pays no per-job crypto garbage       *)
+(* ------------------------------------------------------------------ *)
+
+(* One 429.mcf streaming job on the benchmark's fast enclave
+   (benchmark/service_loop.ml), after a warm-up run on the same
+   configuration has filled the process-wide memos. The ceiling sits
+   10% above the measured 90.2 MB. Raising it needs a stated reason; a
+   change that cuts the job's allocation lowers it. *)
+let warm_job_allocation () =
+  let payload = Lazy.force mcf_payload in
+  let run () =
+    Engarde.Provision.run ~channel:`Streaming
+      ~policies:[ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ]
+      (small_config "engarde-bench") ~payload
+  in
+  accepted_outcome "warm-up" (run ());
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let o = run () in
+  let bytes = Gc.allocated_bytes () -. before in
+  accepted_outcome "measured" o;
+  let ceiling = 99e6 in
+  if bytes > ceiling then
+    Alcotest.failf "warm 429.mcf streaming job allocated %.1f MB, ceiling %.0f MB" (bytes /. 1e6)
+      (ceiling /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Ticket sealing boundary                                             *)
@@ -626,6 +667,8 @@ let () =
           Alcotest.test_case "tampered ticket falls back" `Slow zero_rtt_tampered_ticket;
           Alcotest.test_case "forged Fin length" `Slow zero_rtt_forged_fin_length;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "warm 429.mcf streaming job" `Quick warm_job_allocation ] );
       ( "transcript",
         List.map transcript_test transcript_cases
         @ [
