@@ -448,16 +448,6 @@ let ablation_fused_scan () =
 (* Audit log: append amortization, proof growth, restart cost           *)
 (* ------------------------------------------------------------------ *)
 
-let fast_provision =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-  }
-
 (* Synthetic verdict leaf for pure tree benchmarks (real leaves come
    from the scheduler; the tree only sees canonical bytes either way). *)
 let synthetic_leaf i =
@@ -489,7 +479,7 @@ let audited_run ~device ?from_blob jobs =
     {
       Service.Scheduler.default_config with
       Service.Scheduler.audit = true;
-      provision = fast_provision;
+      provision = Engarde.Provision.fast_config;
     }
   in
   let t = Service.Scheduler.create config in
@@ -561,7 +551,7 @@ let scaling_run ~jobs ~domains =
       Service.Scheduler.default_config with
       Service.Scheduler.workers = 8;
       cache = `Disabled;
-      provision = fast_provision;
+      provision = Engarde.Provision.fast_config;
     }
   in
   let config, pool =
@@ -823,7 +813,7 @@ let smoke () =
        Service.Scheduler.workers = 1;
        cache = `Enabled 16;
        audit = true;
-       provision = fast_provision;
+       provision = Engarde.Provision.fast_config;
      }
    in
    let ft =

@@ -28,6 +28,15 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* A usage error only the command can see (the parser has no view of
+   how many inputs make sense): a message on stderr and exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 (* --- shared converters --- *)
 
 let bench_conv =
@@ -71,6 +80,17 @@ let libc_conv =
   in
   let print fmt v = Format.pp_print_string fmt (Toolchain.Libc.version_to_string v) in
   Arg.conv (parse, print)
+
+(* Every count the commands take (workers, queue capacity, domains,
+   nodes, repeats, clients, jobs per client): zero or less is refused
+   by the parser, as a usage error. *)
+let count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* The scheduler's registry is the single source of truth for which
    policies are name-addressable: the flag's enum, the error text and
@@ -129,6 +149,13 @@ let policy_file_arg =
            negotiated set: its bytes are part of the measured policy-set \
            digest. Repeatable.")
 
+(* -p and --policy-file together: every name a job negotiates (the
+   builtins, then each program's name) and the programs themselves. *)
+let negotiated_arg =
+  Term.(
+    const (fun names programs -> (names @ List.map fst programs, programs))
+    $ policy_arg $ policy_file_arg)
+
 (* Decode custom blobs into runnable policies, or die with the decoder's
    reason — a blob the negotiation would reject should fail here too. *)
 let custom_policies ~vm_perf files =
@@ -141,6 +168,71 @@ let custom_policies ~vm_perf files =
           exit 2)
     files
 
+(* --- inputs: one ELF payload per positional file and per -b --- *)
+
+let bench_info ~doc = Arg.info [ "b"; "bench" ] ~docv:"BENCH" ~doc
+
+let variant_arg =
+  Arg.(
+    value
+    & opt variant_conv Toolchain.Codegen.plain
+    & info [ "variant" ] ~docv:"VARIANT"
+        ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc, stack+ifcc.")
+
+(* (label, elf bytes) for every synthesized --bench, then every ELF
+   file; [default]'s benchmarks stand in when neither is given. *)
+let inputs_or ~default =
+  let elfs =
+    Arg.(value & pos_all file [] & info [] ~docv:"ELF" ~doc:"Executable to judge. Repeatable.")
+  in
+  let benches =
+    Arg.(value & opt_all bench_conv [] & bench_info ~doc:"Synthesize this benchmark. Repeatable.")
+  in
+  let sources benches elfs variant =
+    let benches = if benches = [] && elfs = [] then default else benches in
+    List.map
+      (fun b ->
+        let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
+        (Toolchain.Workloads.to_string b, img.Toolchain.Linker.elf))
+      benches
+    @ List.map (fun path -> (Filename.basename path, read_file path)) elfs
+  in
+  Term.(const sources $ benches $ elfs $ variant_arg)
+
+let inputs = inputs_or ~default:[]
+
+let one_input cmd = function
+  | [ input ] -> input
+  | _ -> usage "%s: pass exactly one of ELF or --bench" cmd
+
+(* --- the enclave: its size and the channel to it --- *)
+
+let enclave_arg =
+  let fast =
+    Arg.(
+      value & flag
+      & info [ "fast" ]
+          ~doc:"Use a reduced enclave configuration (smaller EPC and heap) for quick demos.")
+  in
+  Term.(
+    const (fun fast ->
+        if fast then Engarde.Provision.fast_config else Engarde.Provision.default_config)
+    $ fast)
+
+(* The CLI defaults to the streaming channel; --legacy-channel restores
+   the paper-faithful block transfer. *)
+let channel_arg =
+  let legacy =
+    Arg.(
+      value & flag
+      & info [ "legacy-channel" ]
+          ~doc:
+            "Carry payloads over the paper-faithful Code_block transfer instead of the \
+             EGREC1 streaming record layer (no pipelined inspection, no 0-RTT resumption). \
+             Verdicts and modelled cycles are identical on both channels.")
+  in
+  Term.(const (fun legacy -> if legacy then `Legacy else `Streaming) $ legacy)
+
 (* --- gen --- *)
 
 let gen_cmd =
@@ -148,13 +240,7 @@ let gen_cmd =
     Arg.(
       required
       & opt (some bench_conv) None
-      & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Benchmark profile to synthesize.")
-  in
-  let variant =
-    Arg.(
-      value
-      & opt variant_conv Toolchain.Codegen.plain
-      & info [ "variant" ] ~docv:"VARIANT" ~doc:"Instrumentation: plain, stack, ifcc.")
+      & bench_info ~doc:"Benchmark profile to synthesize.")
   in
   let libc =
     Arg.(
@@ -183,37 +269,12 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Synthesize an evaluation workload as a static PIE ELF.")
-    Term.(const run $ bench $ variant $ libc $ strip $ output)
+    Term.(const run $ bench $ variant_arg $ libc $ strip $ output)
 
 (* --- inspect --- *)
 
 let elf_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ELF" ~doc:"Executable to inspect.")
-
-let legacy_channel_arg =
-  Arg.(
-    value & flag
-    & info [ "legacy-channel" ]
-        ~doc:
-          "Carry payloads over the paper-faithful Code_block transfer instead of the \
-           EGREC1 streaming record layer (no pipelined inspection, no 0-RTT resumption). \
-           Verdicts and modelled cycles are identical on both channels.")
-
-(* (label, elf bytes) for every synthesized --bench, then every ELF file *)
-let payload_sources benches elfs variant =
-  List.map
-    (fun b ->
-      let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
-      (Toolchain.Workloads.to_string b, img.Toolchain.Linker.elf))
-    benches
-  @ List.map (fun path -> (Filename.basename path, read_file path)) elfs
-
-let variant_arg =
-  Arg.(
-    value
-    & opt variant_conv Toolchain.Codegen.plain
-    & info [ "variant" ] ~docv:"VARIANT"
-        ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc, stack+ifcc.")
 
 (* The enclave's front half on one input, or the rejection it would
    send; every charge lands on [report]. *)
@@ -225,22 +286,8 @@ let examine ~what report raw =
       exit 1
 
 let inspect_cmd =
-  let elfs =
-    Arg.(value & pos_all file [] & info [] ~docv:"ELF" ~doc:"Executable to inspect. Repeatable.")
-  in
-  let benches =
-    Arg.(
-      value
-      & opt_all bench_conv []
-      & info [ "b"; "bench" ] ~docv:"BENCH"
-          ~doc:"Inspect this synthesized benchmark. Repeatable.")
-  in
-  let run elfs benches variant policy_names policy_files =
-    let sources = payload_sources benches elfs variant in
-    if sources = [] then begin
-      prerr_endline "inspect: no inputs; pass ELF files and/or --bench";
-      exit 2
-    end;
+  let run sources policy_names policy_files =
+    if sources = [] then usage "inspect: no inputs; pass ELF files and/or --bench";
     let judge (what, raw) =
       let report = Engarde.Report.create () in
       match Engarde.Provision.examine report raw with
@@ -294,32 +341,14 @@ let inspect_cmd =
           checks, disassembly and policy modules as provisioning, with the same verdicts, \
           findings and modelled cycles. Exits 1 if any input is rejected or non-compliant. \
           With $(b,--policy-file) the VM's interpreter overhead is reported separately.")
-    Term.(const run $ elfs $ benches $ variant_arg $ policy_arg $ policy_file_arg)
+    Term.(const run $ inputs $ policy_arg $ policy_file_arg)
 
 (* --- provision --- *)
 
 let provision_cmd =
-  let heap =
-    Arg.(
-      value & opt int 5000
-      & info [ "heap-pages" ] ~doc:"Initial enclave heap page frames (paper: 5000).")
-  in
-  let rsa =
-    Arg.(
-      value & opt int 512
-      & info [ "rsa-bits" ] ~doc:"Enclave ephemeral RSA modulus size (paper: 2048).")
-  in
-  let run path policy_names heap rsa legacy =
+  let run path policy_names channel =
     let payload = read_file path in
-    let config =
-      {
-        Engarde.Provision.default_config with
-        Engarde.Provision.heap_pages = heap;
-        rsa_bits = rsa;
-        policy_names;
-      }
-    in
-    let channel = if legacy then `Legacy else `Streaming in
+    let config = { Engarde.Provision.default_config with Engarde.Provision.policy_names } in
     let o =
       Engarde.Provision.run ~policies:(policies_of_names policy_names) ~channel config ~payload
     in
@@ -354,7 +383,7 @@ let provision_cmd =
   Cmd.v
     (Cmd.info "provision"
        ~doc:"Run the full mutually-trusted provisioning protocol on an ELF.")
-    Term.(const run $ elf_arg $ policy_arg $ heap $ rsa $ legacy_channel_arg)
+    Term.(const run $ elf_arg $ policy_arg $ channel_arg)
 
 (* --- rewrite --- *)
 
@@ -407,18 +436,6 @@ let measure_cmd =
 (* --- cfg + callgraph: the flow-sensitive and interprocedural surface --- *)
 
 let cfg_cmd =
-  let elf_pos =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"ELF" ~doc:"Executable to recover CFGs from.")
-  in
-  let bench =
-    Arg.(
-      value
-      & opt (some bench_conv) None
-      & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Synthesize this benchmark instead.")
-  in
   let fn_filter =
     Arg.(
       value
@@ -432,17 +449,8 @@ let cfg_cmd =
       & info [ "dot" ] ~docv:"FILE"
           ~doc:"Write the Graphviz DOT of the selected function's CFG (needs --function).")
   in
-  let run elf_pos bench variant fn_filter dot_out =
-    let what, raw =
-      match (elf_pos, bench) with
-      | Some path, None -> (Filename.basename path, read_file path)
-      | None, Some b ->
-          ( Toolchain.Workloads.to_string b,
-            (Toolchain.Linker.link (Toolchain.Workloads.build variant b)).Toolchain.Linker.elf )
-      | _ ->
-          prerr_endline "cfg: pass exactly one of ELF or --bench";
-          exit 2
-    in
+  let run inputs fn_filter dot_out =
+    let what, raw = one_input "cfg" inputs in
     let report = Engarde.Report.create () in
     let _, ctx = examine ~what report raw in
     let idx = ctx.Engarde.Policy.index in
@@ -503,21 +511,9 @@ let cfg_cmd =
        ~doc:
          "Recover per-function basic-block CFGs (the flow-sensitive policies' substrate) \
           and print block/edge/reachability summaries, optionally exporting Graphviz DOT.")
-    Term.(const run $ elf_pos $ bench $ variant_arg $ fn_filter $ dot_out)
+    Term.(const run $ inputs $ fn_filter $ dot_out)
 
 let callgraph_cmd =
-  let elf_pos =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"ELF" ~doc:"Executable to build the call graph of.")
-  in
-  let bench =
-    Arg.(
-      value
-      & opt (some bench_conv) None
-      & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Synthesize this benchmark instead.")
-  in
   let dot_out =
     Arg.(
       value
@@ -531,17 +527,8 @@ let callgraph_cmd =
       & info [ "summaries" ]
           ~doc:"Also compute and print the per-function dataflow summaries (bottom-up).")
   in
-  let run elf_pos bench variant dot_out summaries =
-    let what, raw =
-      match (elf_pos, bench) with
-      | Some path, None -> (Filename.basename path, read_file path)
-      | None, Some b ->
-          ( Toolchain.Workloads.to_string b,
-            (Toolchain.Linker.link (Toolchain.Workloads.build variant b)).Toolchain.Linker.elf )
-      | _ ->
-          prerr_endline "callgraph: pass exactly one of ELF or --bench";
-          exit 2
-    in
+  let run inputs dot_out summaries =
+    let what, raw = one_input "callgraph" inputs in
     let report = Engarde.Report.create () in
     let _, ctx = examine ~what report raw in
     let cg = Engarde.Policy.callgraph_of ctx in
@@ -604,51 +591,158 @@ let callgraph_cmd =
          "Build the whole-binary call graph (the interprocedural policies' substrate): \
           direct/indirect/tail/jump-into edges, SCC condensation, bottom-up order, and \
           optionally the per-function dataflow summaries, exporting Graphviz DOT.")
-    Term.(const run $ elf_pos $ bench $ variant_arg $ dot_out $ summaries)
+    Term.(const run $ inputs $ dot_out $ summaries)
 
-(* --- service layer: batch + serve --- *)
+(* --- service layer: batch + serve + fleet --- *)
 
 let commas = Engarde.Report.commas
 
-let fast_provision_config =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-  }
+(* The scheduler every service command runs on [provision]'s enclave,
+   over the streaming channel unless told otherwise. The audit commands
+   reopen sealed state through it too. *)
+let scheduler_config provision =
+  { Service.Scheduler.default_config with Service.Scheduler.provision; channel = `Streaming }
 
-let check_pool_args ~workers ~queue =
-  if workers <= 0 then begin
-    prerr_endline "engarde: --workers must be positive";
-    exit 2
-  end;
-  if queue <= 0 then begin
-    prerr_endline "engarde: --queue-capacity must be positive";
-    exit 2
-  end
+(* What a service command runs: the scheduler's config, every name its
+   jobs negotiate, where the metrics report goes, and (batch and serve
+   only) the domains to run on and the sealed state file with its
+   device seed. *)
+type service = {
+  config : Service.Scheduler.config;
+  policy_names : string list;
+  metrics_out : string option;
+  domains : int;
+  sealed : (string * string) option;
+}
 
-let service_config ?(audit = false) ?(legacy = false) ~workers ~queue ~no_cache ~fast
-    ~timeout () =
-  {
-    Service.Scheduler.default_config with
-    Service.Scheduler.workers;
-    queue_capacity = queue;
-    cache = (if no_cache then `Disabled else Service.Scheduler.default_config.Service.Scheduler.cache);
-    audit;
-    timeout_cycles = timeout;
-    provision =
-      (if fast then fast_provision_config else Engarde.Provision.default_config);
-    (* The CLI defaults to the streaming channel; --legacy-channel
-       restores the paper-faithful block transfer. *)
-    channel = (if legacy then `Legacy else `Streaming);
-  }
+let device_seed_arg =
+  Arg.(
+    value
+    & opt string "engarde-device-0"
+    & info [ "device-seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed of the SGX device model (attestation key, sealing secret, counters). \
+           Both sides of an audit exchange must name the same device.")
+
+(* The options every service command takes; [policies] gives its jobs'
+   negotiated names and custom programs. *)
+let service_term policies =
+  let workers =
+    Arg.(value & opt count 4 & info [ "w"; "workers" ] ~docv:"N" ~doc:"Jobs per scheduler round.")
+  in
+  let queue_capacity =
+    Arg.(
+      value & opt count 64
+      & info [ "queue-capacity" ] ~docv:"N"
+          ~doc:"Job queue capacity (submissions beyond it are rejected).")
+  in
+  let timeout_cycles =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "timeout-cycles" ] ~docv:"CYCLES"
+          ~doc:"Fail any job whose modelled cycles exceed this budget.")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the Prometheus-style metrics report to $(docv) at exit ($(b,-) for stdout).")
+  in
+  let make workers queue_capacity provision timeout_cycles (policy_names, programs) metrics_out =
+    {
+      config =
+        {
+          (scheduler_config provision) with
+          Service.Scheduler.workers;
+          queue_capacity;
+          timeout_cycles;
+          programs;
+        };
+      policy_names;
+      metrics_out;
+      domains = 1;
+      sealed = None;
+    }
+  in
+  Term.(
+    const make $ workers $ queue_capacity $ enclave_arg $ timeout_cycles $ policies
+    $ metrics_out)
+
+(* batch and serve run one host's whole service: they add domains, the
+   cache switch, custom programs, the audit log, sealed state and the
+   channel to the options every service command takes. *)
+let host_term =
+  let domains =
+    Arg.(
+      value & opt count 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Run each round's provisioning pipelines on $(docv) OCaml domains (true \
+             multicore parallelism); the round then takes at least $(docv) jobs. 1 \
+             (the default) runs each pipeline in place on the scheduler's domain. \
+             Verdicts, cache statistics and the audit log are identical either way; \
+             only wall-clock time changes.")
+  in
+  let no_cache =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ]
+          ~doc:"Disable the content-addressed verdict cache (every job re-inspects).")
+  in
+  let audit =
+    Arg.(
+      value & flag
+      & info [ "audit" ]
+          ~doc:"Append every verdict to the Merkle transparency log (implied by --state).")
+  in
+  let state =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "state" ] ~docv:"FILE"
+          ~doc:
+            "Sealed service state: warm-start from $(docv) when it exists, seal the audit \
+             log and verdict cache back to it at exit (enables the audit log). The \
+             monotonic-counter NVRAM lives beside it in $(docv).ctr.")
+  in
+  let extend s domains no_cache audit state device_seed channel =
+    let c = s.config in
+    {
+      s with
+      config =
+        {
+          c with
+          Service.Scheduler.cache = (if no_cache then `Disabled else c.Service.Scheduler.cache);
+          audit = audit || state <> None;
+          channel;
+        };
+      domains;
+      sealed = Option.map (fun path -> (path, device_seed)) state;
+    }
+  in
+  Term.(
+    const extend $ service_term negotiated_arg $ domains $ no_cache $ audit $ state
+    $ device_seed_arg $ channel_arg)
+
+let repeat_arg =
+  Arg.(
+    value & opt count 1
+    & info [ "repeat" ] ~docv:"N"
+        ~doc:"Submit the whole job list N times (duplicate-heavy workloads).")
+
+(* [repeat] rounds of one job per input. *)
+let job_list sources ~repeat policy_names =
+  let one_round =
+    List.map (fun (client, payload) -> { Service.Scheduler.client; payload; policy_names }) sources
+  in
+  List.concat (List.init repeat (fun _ -> one_round))
 
 (* --- sealed service state on disk (Service.State_file) --- *)
 
-let load_service_state device t state =
+let load_service_state t (state, device) =
   match Service.State_file.load t ~device state with
   | Ok Service.State_file.Cold -> Printf.printf "cold start: no sealed state at %s\n\n" state
   | Ok (Service.State_file.Warm { counter; rolled_forward; log_leaves; cache_entries }) ->
@@ -662,7 +756,7 @@ let load_service_state device t state =
       Printf.eprintf "engarde: cannot load %s: %s\n" state (Audit.Seal.error_to_string e);
       exit 1
 
-let save_service_state device t state =
+let save_service_state t (state, device) =
   Service.State_file.save t ~device state;
   let audit_note =
     match Service.Scheduler.audit_log t with
@@ -681,127 +775,47 @@ let write_report path report =
     Printf.printf "metrics written -> %s\n" path
   end
 
-let write_metrics t = Option.iter (fun path -> write_report path (Service.Scheduler.report t))
-
-let workers_arg =
-  Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc:"Jobs per scheduler round.")
-
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run each round's provisioning pipelines on $(docv) OCaml domains (true \
-           multicore parallelism); the round then takes at least $(docv) jobs. 1 \
-           (the default) runs each pipeline in place on the scheduler's domain. \
-           Verdicts, cache statistics and the audit log are identical either way; \
-           only wall-clock time changes.")
-
-(* [domains = 1] runs pipelines in place; above that, rewire the config
-   onto a domain pool and guarantee its shutdown. [f] gets the effective
-   config so headers can print what actually runs. *)
-let with_domains config ~domains f =
-  if domains <= 0 then begin
-    prerr_endline "engarde: --domains must be positive";
-    exit 2
-  end;
-  if domains = 1 then f config
+(* Run [f] on a scheduler built from [s], after a header that ends with
+   the effective workers and domains: on [s.domains] domains (above 1,
+   rewired onto a domain pool that is always shut down), warm-started
+   from and sealed back to its state, its report printed and its
+   metrics written at the end. *)
+let with_scheduler s ~header f =
+  let go config =
+    Printf.printf "%s, %d workers, %d domain(s)\n\n" header config.Service.Scheduler.workers
+      s.domains;
+    let t = Service.Scheduler.create config in
+    let sealed = Option.map (fun (path, seed) -> (path, Sgx.Quote.device_create ~seed)) s.sealed in
+    Option.iter (load_service_state t) sealed;
+    let result = f t in
+    print_string (Service.Scheduler.report t);
+    Option.iter (save_service_state t) sealed;
+    Option.iter (fun path -> write_report path (Service.Scheduler.report t)) s.metrics_out;
+    result
+  in
+  if s.domains = 1 then go s.config
   else begin
-    let config, pool = Service.Scheduler.parallel_config ~config ~domains () in
-    Fun.protect
-      ~finally:(fun () -> Service.Pool.shutdown pool)
-      (fun () -> f config)
+    let config, pool = Service.Scheduler.parallel_config ~config:s.config ~domains:s.domains () in
+    Fun.protect ~finally:(fun () -> Service.Pool.shutdown pool) (fun () -> go config)
   end
 
-let queue_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "queue-capacity" ] ~docv:"N"
-        ~doc:"Job queue capacity (submissions beyond it are rejected).")
+(* A completion as the verdict table reads it: accepted, and why. *)
+let outcome (c : Service.Scheduler.completion) =
+  match c.Service.Scheduler.verdict with
+  | Ok v -> (v.Service.Cache.accepted, v.Service.Cache.detail)
+  | Error f -> (false, Service.Scheduler.failure_to_string f)
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the content-addressed verdict cache (every job re-inspects).")
+(* batch and fleet exit 1 when any job was refused or failed. *)
+let failed c = not (fst (outcome c))
 
-let fast_arg =
-  Arg.(
-    value & flag
-    & info [ "fast" ]
-        ~doc:"Use a reduced enclave configuration (smaller EPC and heap) for quick demos.")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeout-cycles" ] ~docv:"CYCLES"
-        ~doc:"Fail any job whose modelled cycles exceed this budget.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the Prometheus-style metrics report to $(docv) at exit ($(b,-) for stdout).")
-
-let state_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "state" ] ~docv:"FILE"
-        ~doc:
-          "Sealed service state: warm-start from $(docv) when it exists, seal the audit \
-           log and verdict cache back to it at exit (enables the audit log). The \
-           monotonic-counter NVRAM lives beside it in $(docv).ctr.")
-
-let audit_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "audit" ]
-        ~doc:"Append every verdict to the Merkle transparency log (implied by --state).")
-
-let device_seed_arg =
-  Arg.(
-    value
-    & opt string "engarde-device-0"
-    & info [ "device-seed" ] ~docv:"SEED"
-        ~doc:
-          "Seed of the SGX device model (attestation key, sealing secret, counters). \
-           Both sides of an audit exchange must name the same device.")
-
-let bench_jobs_arg =
-  Arg.(
-    value
-    & opt_all bench_conv []
-    & info [ "b"; "bench" ] ~docv:"BENCH"
-        ~doc:"Submit this synthesized benchmark as a job. Repeatable.")
-
-let elf_jobs_arg =
-  Arg.(
-    value
-    & opt_all file []
-    & info [ "elf" ] ~docv:"FILE" ~doc:"Submit this ELF file as a job. Repeatable.")
-
-(* [repeat] rounds of one job per --bench and --elf input. *)
-let job_list benches elfs variant ~repeat policy_names =
-  let one_round =
-    List.map
-      (fun (client, payload) -> { Service.Scheduler.client; payload; policy_names })
-      (payload_sources benches elfs variant)
-  in
-  List.concat (List.init repeat (fun _ -> one_round))
-
+(* batch's and serve's verdict table: the attempts each job took and,
+   under a non-compliant verdict, its findings. *)
 let print_completions completions =
   Printf.printf "%-4s %-14s %5s %-4s %3s %16s  %s\n" "#" "client" "hit" "try" "ok"
     "cycles" "verdict";
   List.iter
     (fun (c : Service.Scheduler.completion) ->
-      let ok, detail =
-        match c.Service.Scheduler.verdict with
-        | Ok v -> (v.Service.Cache.accepted, v.Service.Cache.detail)
-        | Error f -> (false, Service.Scheduler.failure_to_string f)
-      in
+      let ok, detail = outcome c in
       Printf.printf "%-4d %-14s %5s %-4d %3s %16s  %s\n" c.Service.Scheduler.seq
         c.Service.Scheduler.job.Service.Scheduler.client
         (if c.Service.Scheduler.cache_hit then "hit" else "miss")
@@ -818,43 +832,12 @@ let print_completions completions =
     completions
 
 let batch_cmd =
-  let variant =
-    Arg.(
-      value
-      & opt variant_conv Toolchain.Codegen.plain
-      & info [ "variant" ] ~docv:"VARIANT"
-          ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc.")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N"
-          ~doc:"Submit the whole job list N times (duplicate-heavy workloads).")
-  in
-  let run benches elfs variant repeat workers queue domains no_cache fast timeout
-      policy_names policy_files audit_on state metrics_out device_seed legacy =
-    check_pool_args ~workers ~queue;
-    if benches = [] && elfs = [] then begin
-      prerr_endline "batch: no jobs; pass --bench and/or --elf";
-      exit 2
-    end;
-    let policy_names = policy_names @ List.map fst policy_files in
-    let jobs = job_list benches elfs variant ~repeat policy_names in
-    let audit = audit_on || state <> None in
-    let config =
-      {
-        (service_config ~audit ~legacy ~workers ~queue ~no_cache ~fast ~timeout ()) with
-        Service.Scheduler.programs = policy_files;
-      }
-    in
+  let run sources repeat s =
+    if sources = [] then usage "batch: no jobs; pass ELF files and/or --bench";
+    let jobs = job_list sources ~repeat s.policy_names in
     let any_failed =
-      with_domains config ~domains (fun config ->
-          Printf.printf "batch: %d job(s), %d workers, %d domain(s)\n\n"
-            (List.length jobs) config.Service.Scheduler.workers domains;
+      with_scheduler s ~header:(Printf.sprintf "batch: %d job(s)" (List.length jobs)) (fun t ->
           let t0 = Unix.gettimeofday () in
-          let t = Service.Scheduler.create config in
-          let device = Sgx.Quote.device_create ~seed:device_seed in
-          Option.iter (load_service_state device t) state;
           let completions = Service.Scheduler.batch t jobs in
           let dt = Unix.gettimeofday () -. t0 in
           print_completions completions;
@@ -874,15 +857,7 @@ let batch_cmd =
                 (Crypto.Sha256.hex (Audit.Log.root log))
           | None -> ());
           print_newline ();
-          print_string (Service.Scheduler.report t);
-          Option.iter (save_service_state device t) state;
-          write_metrics t metrics_out;
-          List.exists
-            (fun (c : Service.Scheduler.completion) ->
-              match c.Service.Scheduler.verdict with
-              | Ok v -> not v.Service.Cache.accepted
-              | Error _ -> true)
-            completions)
+          List.exists failed completions)
     in
     if any_failed then exit 1
   in
@@ -891,43 +866,20 @@ let batch_cmd =
        ~doc:
          "Run many inspection jobs through the service layer (job queue, worker pool, \
           verdict cache, audit log) and print per-job verdicts plus service metrics.")
-    Term.(
-      const run $ bench_jobs_arg $ elf_jobs_arg $ variant $ repeat $ workers_arg
-      $ queue_arg $ domains_arg $ no_cache_arg $ fast_arg $ timeout_arg
-      $ policy_arg $ policy_file_arg $ audit_flag_arg $ state_arg $ metrics_out_arg
-      $ device_seed_arg $ legacy_channel_arg)
+    Term.(const run $ inputs $ repeat_arg $ host_term)
 
 let serve_cmd =
   let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"N" ~doc:"Simulated client connections.")
+    Arg.(value & opt count 3 & info [ "clients" ] ~docv:"N" ~doc:"Simulated client connections.")
   in
   let jobs_per_client =
     Arg.(
-      value & opt int 2
-      & info [ "jobs-per-client" ] ~docv:"N" ~doc:"Payloads each client streams.")
+      value & opt count 2
+      & info [ "jobs-per-client" ] ~docv:"N"
+          ~doc:"Payloads each client streams, cycling through the inputs.")
   in
-  let benches =
-    Arg.(
-      value
-      & opt_all bench_conv []
-      & info [ "b"; "bench" ] ~docv:"BENCH"
-          ~doc:"Benchmarks to cycle client payloads through (default: 429.mcf, otp-gen).")
-  in
-  let run clients jobs_per_client benches workers queue domains no_cache fast timeout
-      policy_names policy_files audit_on state metrics_out device_seed legacy =
-    check_pool_args ~workers ~queue;
-    let policy_names = policy_names @ List.map fst policy_files in
-    let benches =
-      if benches <> [] then benches else [ Toolchain.Workloads.Mcf; Toolchain.Workloads.Otpgen ]
-    in
-    let payloads =
-      List.map
-        (fun b ->
-          (Toolchain.Linker.link (Toolchain.Workloads.build Toolchain.Codegen.plain b))
-            .Toolchain.Linker.elf)
-        benches
-    in
-    let n_payloads = List.length payloads in
+  let run sources clients jobs_per_client s =
+    let payloads = Array.of_list (List.map snd sources) in
     let mux = Channel.Session.Mux.create () in
     let client_eps =
       List.init clients (fun i ->
@@ -937,31 +889,21 @@ let serve_cmd =
           Channel.Session.Mux.attach mux ~id ~key server_ep;
           let session = Channel.Session.create ~key in
           for j = 0 to jobs_per_client - 1 do
-            let payload = List.nth payloads ((i + j) mod n_payloads) in
+            let payload = payloads.((i + j) mod Array.length payloads) in
             List.iter (Channel.Transport.send client_ep)
               (Channel.Session.payload_messages session payload)
           done;
           (id, client_ep))
     in
-    let audit = audit_on || state <> None in
-    let config =
-      {
-        (service_config ~audit ~legacy ~workers ~queue ~no_cache ~fast ~timeout ()) with
-        Service.Scheduler.programs = policy_files;
-      }
+    let header =
+      Printf.sprintf "serving %d connections (%s), %d payload(s) each" clients
+        (String.concat ", " (Channel.Session.Mux.connections mux))
+        jobs_per_client
     in
-    with_domains config ~domains (fun config ->
-        Printf.printf
-          "serving %d connections (%s), %d payload(s) each, %d workers, %d domain(s)\n\n"
-          clients
-          (String.concat ", " (Channel.Session.Mux.connections mux))
-          jobs_per_client config.Service.Scheduler.workers domains;
-        let t = Service.Scheduler.create config in
-        let device = Sgx.Quote.device_create ~seed:device_seed in
-        Option.iter (load_service_state device t) state;
+    with_scheduler s ~header (fun t ->
         let t0 = Unix.gettimeofday () in
         let completions =
-          Service.Scheduler.serve t ~mux ~policies_for:(fun _ -> policy_names) ()
+          Service.Scheduler.serve t ~mux ~policies_for:(fun _ -> s.policy_names) ()
         in
         let dt = Unix.gettimeofday () -. t0 in
         print_completions completions;
@@ -978,65 +920,38 @@ let serve_cmd =
                 | Error _ -> Printf.printf "  %-10s unexpected message\n" id)
               (Channel.Transport.drain ep))
           client_eps;
-        Printf.printf "\n%d jobs in %.2fs\n\n" (List.length completions) dt;
-        print_string (Service.Scheduler.report t);
-        Option.iter (save_service_state device t) state;
-        write_metrics t metrics_out)
+        Printf.printf "\n%d jobs in %.2fs\n\n" (List.length completions) dt)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Demo the inspection service: a multiplexed server loop feeding the job queue, \
-          a worker pool draining it, verdicts multiplexed back to each connection.")
+          a worker pool draining it, verdicts multiplexed back to each connection. \
+          Without inputs the clients cycle through 429.mcf and otp-gen.")
     Term.(
-      const run $ clients $ jobs_per_client $ benches $ workers_arg $ queue_arg
-      $ domains_arg $ no_cache_arg $ fast_arg $ timeout_arg $ policy_arg
-      $ policy_file_arg $ audit_flag_arg $ state_arg $ metrics_out_arg
-      $ device_seed_arg $ legacy_channel_arg)
+      const run
+      $ inputs_or ~default:[ Toolchain.Workloads.Mcf; Toolchain.Workloads.Otpgen ]
+      $ clients $ jobs_per_client $ host_term)
 
 (* --- fleet: mutually-attested inspector group --------------------- *)
 
 let fleet_cmd =
   let nodes_arg =
     Arg.(
-      value & opt int 2
+      value & opt count 2
       & info [ "nodes" ] ~docv:"N"
           ~doc:
             "Inspector nodes in the fleet. Each is a full service (scheduler, cache, \
              audit log) with its own attestation device; all pairs mutually attest \
              via MAGE-derived identities before any verdict is shared.")
   in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N"
-          ~doc:"Submit the whole job list N times (exercises cross-node cache sharing).")
-  in
-  let variant =
-    Arg.(
-      value
-      & opt variant_conv Toolchain.Codegen.plain
-      & info [ "variant" ] ~docv:"VARIANT"
-          ~doc:"Instrumentation for synthesized benchmarks: plain, stack, ifcc.")
-  in
-  let run benches elfs variant repeat nodes workers queue fast timeout policy_names
-      metrics_out =
-    check_pool_args ~workers ~queue;
-    if nodes <= 0 then begin
-      prerr_endline "fleet: --nodes must be positive";
-      exit 2
-    end;
-    if benches = [] && elfs = [] then begin
-      prerr_endline "fleet: no jobs; pass --bench and/or --elf";
-      exit 2
-    end;
-    let jobs = job_list benches elfs variant ~repeat policy_names in
-    let node_config =
-      service_config ~audit:true ~workers ~queue ~no_cache:false ~fast ~timeout ()
-    in
+  let run sources repeat nodes s =
+    if sources = [] then usage "fleet: no jobs; pass ELF files and/or --bench";
+    let jobs = job_list sources ~repeat s.policy_names in
+    let node_config = { s.config with Service.Scheduler.audit = true } in
     let cfg = { Fleet.Coordinator.default_config with Fleet.Coordinator.nodes; node_config } in
     Printf.printf "fleet: %d node(s), %d job(s), %d workers/node\n" nodes (List.length jobs)
-      workers;
+      node_config.Service.Scheduler.workers;
     let t0 = Unix.gettimeofday () in
     let t = Fleet.Coordinator.create cfg in
     Printf.printf "mutual attestation complete: %d pairwise quotes verified\n\n"
@@ -1055,11 +970,7 @@ let fleet_cmd =
       "cycles" "verdict";
     List.iter
       (fun (n, (c : Service.Scheduler.completion)) ->
-        let ok, detail =
-          match c.Service.Scheduler.verdict with
-          | Ok v -> (v.Service.Cache.accepted, v.Service.Cache.detail)
-          | Error f -> (false, Service.Scheduler.failure_to_string f)
-        in
+        let ok, detail = outcome c in
         Printf.printf "%-4d %-4d %-14s %5s %3s %16s  %s\n" c.Service.Scheduler.seq n
           c.Service.Scheduler.job.Service.Scheduler.client
           (if c.Service.Scheduler.cache_hit then "hit" else "miss")
@@ -1097,16 +1008,8 @@ let fleet_cmd =
           (String.concat "\n"
              (List.init nodes (fun i ->
                   Printf.sprintf "# node %d\n%s" i (Fleet.Coordinator.report t i)))))
-      metrics_out;
-    let any_failed =
-      List.exists
-        (fun (_, (c : Service.Scheduler.completion)) ->
-          match c.Service.Scheduler.verdict with
-          | Ok v -> not v.Service.Cache.accepted
-          | Error _ -> true)
-        completions
-    in
-    if any_failed then exit 1
+      s.metrics_out;
+    if List.exists (fun (_, c) -> failed c) completions then exit 1
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1116,9 +1019,8 @@ let fleet_cmd =
           cache where every import is backed by a verified quote and audit-log \
           inclusion proof.")
     Term.(
-      const run $ bench_jobs_arg $ elf_jobs_arg $ variant $ repeat $ nodes_arg
-      $ workers_arg $ queue_arg $ fast_arg $ timeout_arg $ policy_arg
-      $ metrics_out_arg)
+      const run $ inputs $ repeat_arg $ nodes_arg
+      $ service_term Term.(const (fun names -> (names, [])) $ policy_arg))
 
 (* --- audit: checkpoint / prove / verify ---------------------------
 
@@ -1137,16 +1039,15 @@ let hex_decode s =
              Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
     with _ -> None
 
-let open_sealed_audit device ~fast ~state =
+let open_sealed_audit device enclave ~state =
   if not (Sys.file_exists state) then begin
     Printf.eprintf "engarde: no sealed state at %s\n" state;
     exit 2
   end;
-  let config =
-    service_config ~audit:true ~workers:1 ~queue:4 ~no_cache:false ~fast ~timeout:None ()
+  let t =
+    Service.Scheduler.create { (scheduler_config enclave) with Service.Scheduler.audit = true }
   in
-  let t = Service.Scheduler.create config in
-  load_service_state device t state;
+  load_service_state t (state, device);
   match Service.Scheduler.audit_log t with
   | Some log -> (t, log)
   | None -> assert false (* audit:true above *)
@@ -1163,9 +1064,9 @@ let audit_checkpoint_cmd =
       value & opt string "audit.ckpt"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the checkpoint.")
   in
-  let run state fast device_seed output =
+  let run state enclave device_seed output =
     let device = Sgx.Quote.device_create ~seed:device_seed in
-    let t, _ = open_sealed_audit device ~fast ~state in
+    let t, _ = open_sealed_audit device enclave ~state in
     match Service.Scheduler.checkpoint t ~device with
     | None -> assert false
     | Some ckpt ->
@@ -1179,7 +1080,7 @@ let audit_checkpoint_cmd =
        ~doc:
          "Quote-sign the audit log's current head: the checkpoint binds the log size \
           and Merkle root in the quote's report data.")
-    Term.(const run $ state_req_arg $ fast_arg $ device_seed_arg $ output)
+    Term.(const run $ state_req_arg $ enclave_arg $ device_seed_arg $ output)
 
 let audit_prove_cmd =
   let index =
@@ -1202,9 +1103,9 @@ let audit_prove_cmd =
       value & opt string "audit.proof"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the proof.")
   in
-  let run state fast device_seed index size output =
+  let run state enclave device_seed index size output =
     let device = Sgx.Quote.device_create ~seed:device_seed in
-    let _, log = open_sealed_audit device ~fast ~state in
+    let _, log = open_sealed_audit device enclave ~state in
     let size = match size with Some s -> s | None -> Audit.Log.size log in
     if index < 0 || index >= size || size > Audit.Log.size log then begin
       Printf.eprintf "engarde: index %d / size %d out of range (log has %d leaves)\n"
@@ -1233,7 +1134,7 @@ let audit_prove_cmd =
        ~doc:
          "Extract a leaf and its Merkle audit path from the sealed log; together with \
           a checkpoint this is everything a client needs to verify offline.")
-    Term.(const run $ state_req_arg $ fast_arg $ device_seed_arg $ index $ tree_size $ output)
+    Term.(const run $ state_req_arg $ enclave_arg $ device_seed_arg $ index $ tree_size $ output)
 
 let audit_verify_cmd =
   let ckpt_arg =
@@ -1372,16 +1273,12 @@ let policy_compile_cmd =
     Term.(const run $ name_arg $ output)
 
 let policy_hash_cmd =
-  let run policy_names policy_files =
-    if policy_names = [] && policy_files = [] then begin
-      prerr_endline "policy hash: nothing to hash; pass --policy and/or --policy-file";
-      exit 2
-    end;
-    let config =
-      { Service.Scheduler.default_config with Service.Scheduler.programs = policy_files }
+  let run (names, programs) =
+    if names = [] then usage "policy hash: nothing to hash; pass --policy and/or --policy-file";
+    let t =
+      Service.Scheduler.create
+        { Service.Scheduler.default_config with Service.Scheduler.programs }
     in
-    let t = Service.Scheduler.create config in
-    let names = policy_names @ List.map fst policy_files in
     let set = Service.Scheduler.program_set t names in
     List.iter
       (fun (name, blob) ->
@@ -1396,7 +1293,7 @@ let policy_hash_cmd =
          "Print per-program digests and the negotiated policy-set digest for a \
           policy selection — the value measured into the judging enclave, offered \
           over the channel, recorded in audit leaves and folded into cache keys.")
-    Term.(const run $ policy_arg $ policy_file_arg)
+    Term.(const run $ negotiated_arg)
 
 let policy_cmd =
   Cmd.group

@@ -23,6 +23,16 @@ let default_config =
     policy_digest = "";
   }
 
+let fast_config =
+  {
+    default_config with
+    epc_pages = 4096;
+    heap_pages = 512;
+    bootstrap_pages = 8;
+    image_pages = 1600;
+    rsa_bits = 512;
+  }
+
 let page = Sgx.Epc.page_size
 let enclave_base = 0x1000_0000
 

@@ -33,6 +33,11 @@ type config = {
 
 val default_config : config
 
+val fast_config : config
+(** A reduced enclave for demos, tests and the CLI's [--fast]: 4,096
+    EPC pages, 512 heap, 8 bootstrap and 1,600 image pages, 512-bit
+    RSA. *)
+
 val enclave_base : int
 val image_region_base : int
 (** Where the client image lands inside the enclave (= load bias). *)

@@ -9,10 +9,12 @@ type slot = { index : int; mutable live : bool }
    [raw_ciphertext], which applies the hardware key exactly as a
    memory-bus probe would see it. Deferring the cipher keeps enclave
    builds (tens of thousands of page stores) fast without changing
-   anything observable through the API. *)
+   anything observable through the API. A slot's page is allocated on
+   the slot's first [alloc], so an EPC costs only the pages it backs. *)
 type t = {
   key : Crypto.Aes.key;                  (* hardware key, never exported *)
-  pages : Bytes.t array;                 (* plaintext, module-private *)
+  pages : Bytes.t array;                 (* plaintext, module-private;
+                                            empty until first allocated *)
   mutable free : int list;
   capacity : int;
   mutable n_free : int;
@@ -26,7 +28,7 @@ let create ?(pages = default_pages) ~seed () =
   let drbg = Crypto.Drbg.create ~personalization:"epc-hardware-key" seed in
   {
     key = Crypto.Aes.expand (Crypto.Drbg.generate drbg 32);
-    pages = Array.init pages (fun _ -> Bytes.make page_size '\x00');
+    pages = Array.make pages Bytes.empty;
     free = List.init pages Fun.id;
     capacity = pages;
     n_free = pages;
@@ -43,6 +45,7 @@ let alloc t =
   | index :: rest ->
       t.free <- rest;
       t.n_free <- t.n_free - 1;
+      if Bytes.length t.pages.(index) = 0 then t.pages.(index) <- Bytes.make page_size '\x00';
       { index; live = true }
 
 let check_live s = if not s.live then invalid_arg "Epc: use of released slot"

@@ -5,12 +5,15 @@ type t = {
 
 let u64le v = String.init 8 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
 
-let record t tag payload =
+let open_ctx t =
   match t.digest with
   | Some _ -> invalid_arg "Measurement: log already finalized"
-  | None ->
-      Crypto.Sha256.update t.ctx tag;
-      Crypto.Sha256.update t.ctx payload
+  | None -> t.ctx
+
+let record t tag payload =
+  let ctx = open_ctx t in
+  Crypto.Sha256.update ctx tag;
+  Crypto.Sha256.update ctx payload
 
 let start ~base ~size =
   let t = { ctx = Crypto.Sha256.init (); digest = None } in
@@ -19,13 +22,19 @@ let start ~base ~size =
 
 let add_page t ~vaddr ~perms = record t "EADD\x00\x00\x00\x00" (u64le vaddr ^ perms ^ "\x00")
 
+(* Each 256-byte record goes straight into the hash: the tag, the
+   address and a slice of [content], no string per record. *)
 let extend t ~vaddr ~content =
+  let ctx = open_ctx t in
+  let addr = Bytes.create 8 in
   let chunk = 256 in
   let len = String.length content in
   let rec go pos =
     if pos < len then begin
-      let n = min chunk (len - pos) in
-      record t "EEXTEND\x00" (u64le (vaddr + pos) ^ String.sub content pos n);
+      Bytes.set_int64_le addr 0 (Int64.of_int (vaddr + pos));
+      Crypto.Sha256.update ctx "EEXTEND\x00";
+      Crypto.Sha256.update_sub ctx (Bytes.unsafe_to_string addr) ~pos:0 ~len:8;
+      Crypto.Sha256.update_sub ctx content ~pos ~len:(min chunk (len - pos));
       go (pos + chunk)
     end
   in

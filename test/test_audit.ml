@@ -263,15 +263,7 @@ let seal_distinct_errors () =
 (* ------------------------------------------------------------------ *)
 
 let fast_provision =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-    seed = "audit-test-seed";
-  }
+  { Engarde.Provision.fast_config with Engarde.Provision.seed = "audit-test-seed" }
 
 let audited_config () =
   {

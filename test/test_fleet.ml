@@ -9,15 +9,7 @@ open Toolchain
 module Scheduler = Service.Scheduler
 
 let fast_provision =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-    seed = "fleet-test-seed";
-  }
+  { Engarde.Provision.fast_config with Engarde.Provision.seed = "fleet-test-seed" }
 
 let node_config ?(workers = 1) () =
   {

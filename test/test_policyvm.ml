@@ -194,22 +194,12 @@ let reject_oversized () =
 (* Negotiation: the digest round-trip                                  *)
 (* ------------------------------------------------------------------ *)
 
-let fast_provision =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-  }
-
 let service_config =
   {
     Service.Scheduler.default_config with
     Service.Scheduler.workers = 1;
     audit = true;
-    provision = fast_provision;
+    provision = Engarde.Provision.fast_config;
   }
 
 (* One job end to end: the program-set digest the scheduler computes is
@@ -241,7 +231,7 @@ let negotiation_e2e () =
      identity is a different enclave *)
   let pcfg digest =
     {
-      fast_provision with
+      Engarde.Provision.fast_config with
       Engarde.Provision.policy_names = names;
       policy_digest = digest;
     }
@@ -291,7 +281,7 @@ let libc_marker_binds_db () =
   let judging t =
     Engarde.Provision.expected_measurement
       {
-        fast_provision with
+        Engarde.Provision.fast_config with
         Engarde.Provision.policy_names = [ "libc" ];
         policy_digest = Service.Scheduler.programs_digest t [ "libc" ];
       }

@@ -8,15 +8,7 @@
 open Toolchain
 
 let fast_provision =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-    seed = "service-test-seed";
-  }
+  { Engarde.Provision.fast_config with Engarde.Provision.seed = "service-test-seed" }
 
 let service_config ?(workers = 2) ?(cache = `Enabled 32) ?(queue = 16) () =
   {

@@ -15,16 +15,7 @@ let big_config seed =
   { Engarde.Provision.default_config with Engarde.Provision.rsa_bits = 512; seed }
 
 (* Adversarial fixtures are tiny; the test_engarde sizing is plenty. *)
-let small_config seed =
-  {
-    Engarde.Provision.default_config with
-    Engarde.Provision.epc_pages = 4096;
-    heap_pages = 512;
-    bootstrap_pages = 8;
-    image_pages = 1600;
-    rsa_bits = 512;
-    seed;
-  }
+let small_config seed = { Engarde.Provision.fast_config with Engarde.Provision.seed }
 
 let phase_cycles (o : Engarde.Provision.outcome) =
   let r = o.Engarde.Provision.report in
@@ -166,6 +157,7 @@ let non_elf_prefix_checked_once () =
   let cfg = { (small_config "prefix-once") with Engarde.Provision.heap_pages = 1024 } in
   let allocated magic =
     let payload = magic ^ String.make ((2 * 1024 * 1024) - 5) '\x00' in
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     let o = Engarde.Provision.run ~channel:`Streaming cfg ~payload in
     let bytes = Gc.allocated_bytes () -. before in
@@ -305,6 +297,7 @@ let zero_rtt_forged_fin_length () =
           | _ -> Alcotest.failf "record %d did not open under the 0-RTT keys" rn)
       | m -> m
     in
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     let o = Engarde.Provision.run ~channel:`Streaming ~tamper ~resume:ticket cfg ~payload in
     (o, Gc.allocated_bytes () -. before)
@@ -333,9 +326,11 @@ let zero_rtt_forged_fin_length () =
 
 (* One 429.mcf streaming job on the benchmark's fast enclave
    (benchmark/service_loop.ml), after a warm-up run on the same
-   configuration has filled the process-wide memos. The ceiling sits
-   10% above the measured 90.2 MB. Raising it needs a stated reason; a
-   change that cuts the job's allocation lowers it. *)
+   configuration has filled the process-wide memos. The reading is
+   taken after a second [Gc.minor ()], because OCaml 5.1 counts what is
+   still in the minor heap short; the ceiling sits about 10% above the
+   measured 63.0 MB. Raising it needs a stated reason; a change that
+   cuts the job's allocation lowers it. *)
 let warm_job_allocation () =
   let payload = Lazy.force mcf_payload in
   let run () =
@@ -347,9 +342,10 @@ let warm_job_allocation () =
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   let o = run () in
+  Gc.minor ();
   let bytes = Gc.allocated_bytes () -. before in
   accepted_outcome "measured" o;
-  let ceiling = 99e6 in
+  let ceiling = 69e6 in
   if bytes > ceiling then
     Alcotest.failf "warm 429.mcf streaming job allocated %.1f MB, ceiling %.0f MB" (bytes /. 1e6)
       (ceiling /. 1e6)
