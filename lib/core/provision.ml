@@ -111,66 +111,71 @@ let bootstrap_content c =
   in
   List.init c.bootstrap_pages (fun _ -> Crypto.Drbg.generate drbg page)
 
+let zero_page = String.make page '\x00'
+
 (* The build plan both the host (for real) and the client (pure replay)
-   walk: ECREATE parameters plus every measured page. *)
-let build_plan c =
+   walk: every measured page after the ECREATE record. *)
+let make_plan c =
   let bootstrap =
     List.mapi
       (fun i content -> (bootstrap_base + (i * page), Sgx.Enclave.rx, content))
       (bootstrap_content c)
   in
-  let zero = String.make page '\x00' in
   let heap =
-    List.init c.heap_pages (fun i -> (staging_base c + (i * page), Sgx.Enclave.rw, zero))
+    List.init c.heap_pages (fun i -> (staging_base c + (i * page), Sgx.Enclave.rw, zero_page))
   in
   (* The image region is committed too (SGX1 commits everything at
      build; the developer must predict maximum sizes — Section 4). *)
   let max_image = (enclave_base + enclave_size - image_region_base) / page in
   let image =
     List.init (min c.image_pages max_image)
-      (fun i -> (image_region_base + (i * page), Sgx.Enclave.rw, zero))
+      (fun i -> (image_region_base + (i * page), Sgx.Enclave.rw, zero_page))
   in
-  bootstrap @ heap @ image
+  Array.of_list (bootstrap @ heap @ image)
 
-(* Process-wide memo shared by every concurrent pipeline; its mutex and
-   the platform memo's below are the only cross-domain synchronization
-   in this module. The replay itself runs outside the lock — a racing
-   duplicate computes the same digest, so a lost update is harmless. *)
-let measurement_memo : (config, string) Hashtbl.t = Hashtbl.create 4
-let measurement_memo_lock = Mutex.create ()
+(* One plan per layout, shared by every pipeline in the process: it
+   holds the bootstrap pages, so a job pays no DRBG, and its pages are
+   physically the strings the page memo remembered, so each lookup
+   matches without comparing bytes. Plans are immutable. As with the
+   platform memo below, a plan is built under the lock, once per
+   layout. Emptied when it holds [plan_cap] plans. *)
+let plan_cap = 16
+let plan_memo : (string list * int * int * int, (int * Sgx.Enclave.perm * string) array) Hashtbl.t =
+  Hashtbl.create 4
+let plan_memo_lock = Mutex.create ()
 
+let build_plan c =
+  let key = (c.policy_names, c.bootstrap_pages, c.heap_pages, c.image_pages) in
+  Mutex.protect plan_memo_lock (fun () ->
+      match Hashtbl.find_opt plan_memo key with
+      | Some p -> p
+      | None ->
+          if Hashtbl.length plan_memo >= plan_cap then Hashtbl.reset plan_memo;
+          let p = make_plan c in
+          Hashtbl.replace plan_memo key p;
+          p)
+
+(* The replay walks the plan through the measurement's page memo, so
+   a process hashes each distinct page once and a warm replay costs a
+   lookup per page. *)
 let expected_measurement c =
-  let memoized =
-    Mutex.lock measurement_memo_lock;
-    let r = Hashtbl.find_opt measurement_memo c in
-    Mutex.unlock measurement_memo_lock;
-    r
-  in
-  match memoized with
-  | Some m -> m
-  | None ->
-      let m = Sgx.Measurement.start ~base:enclave_base ~size:enclave_size in
-      List.iter
-        (fun (vaddr, perm, content) ->
-          Sgx.Measurement.add_page m ~vaddr ~perms:(Sgx.Enclave.perm_to_string perm);
-          Sgx.Measurement.extend m ~vaddr ~content)
-        (build_plan c);
-      if c.policy_digest <> "" then
-        Sgx.Measurement.measure_data m ~tag:"EGPOLICY" ~content:c.policy_digest;
-      let d = Sgx.Measurement.finalize m in
-      Mutex.lock measurement_memo_lock;
-      Hashtbl.replace measurement_memo c d;
-      Mutex.unlock measurement_memo_lock;
-      d
+  let m = Sgx.Measurement.start ~base:enclave_base ~size:enclave_size in
+  Array.iter
+    (fun (vaddr, perm, content) ->
+      Sgx.Measurement.page m ~vaddr ~perms:(Sgx.Enclave.perm_to_string perm) ~content)
+    (build_plan c);
+  if c.policy_digest <> "" then
+    Sgx.Measurement.measure_data m ~tag:"EGPOLICY" ~content:c.policy_digest;
+  Sgx.Measurement.finalize m
 
 (* The machine's quoting device, one per seed per process: real SGX has
    one quoting key and one sealing root per machine, provisioned once
    (PAPER.md §2), and the 1024-bit keygen costs more than a fast-config
    inspection. [run] reads only the device's quoting key and seal
    secret, never its monotonic counters, so pipelines on one seed can
-   share it. Unlike the measurement replay, the key is generated under
-   the lock: a racing first pipeline waits for it rather than
-   generating a duplicate. *)
+   share it. Unlike a page memo miss, the key is generated under the
+   lock: a racing first pipeline waits for it rather than generating a
+   duplicate. *)
 let platform_memo : (string, Sgx.Quote.device) Hashtbl.t = Hashtbl.create 4
 let platform_memo_lock = Mutex.create ()
 
@@ -186,7 +191,7 @@ let platform c =
 
 let build_enclave c epc perf =
   let enclave = Sgx.Enclave.ecreate epc ~perf ~base:enclave_base ~size:enclave_size () in
-  List.iter
+  Array.iter
     (fun (vaddr, perm, content) -> Sgx.Enclave.eadd enclave ~vaddr ~perm ~content)
     (build_plan c);
   if c.policy_digest <> "" then

@@ -128,7 +128,11 @@ val findings : outcome -> Policy.finding list
 
 val expected_measurement : config -> string
 (** What both parties compute for a correctly built EnGarde enclave —
-    pure replay of the build log, no EPC needed. *)
+    pure replay of the build log, no EPC needed. The replay and the
+    host's build walk one plan per layout (policy set and page counts),
+    memoized per process, through {!Sgx.Measurement.page}'s page memo:
+    once a process has built a layout, replaying it hashes no page, and
+    the digest is the same either way. *)
 
 (** Resumption tickets: sealed under the inspector's SGX sealing key,
     binding the enclave measurement, the negotiated policy-set digest,

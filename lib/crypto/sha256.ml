@@ -21,7 +21,7 @@ type ctx = {
   h : int array;              (* 8-word chaining state *)
   block : Bytes.t;            (* 64-byte input buffer *)
   mutable fill : int;         (* bytes currently buffered *)
-  mutable total : int64;      (* total message bytes absorbed *)
+  mutable total : int;        (* total message bytes absorbed, mod 2^63 *)
   w : int array;              (* 64-word message schedule, reused *)
 }
 
@@ -31,7 +31,7 @@ let init () =
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     block = Bytes.create 64;
     fill = 0;
-    total = 0L;
+    total = 0;
     w = Array.make 64 0 }
 
 let mask = 0xffffffff
@@ -123,7 +123,7 @@ let compress_big ctx (b : bigstring) off =
 let update_sub ctx s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Sha256.update_sub";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   (* Top up a partial block first so the fast path below stays aligned. *)
   if ctx.fill > 0 && !len > 0 then begin
@@ -152,7 +152,7 @@ let update_sub ctx s ~pos ~len =
 let update_big_sub ctx (b : bigstring) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim b then
     invalid_arg "Sha256.update_big_sub";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let blit_to_block src_pos dst_pos n =
     for i = 0 to n - 1 do
       Bytes.unsafe_set ctx.block (dst_pos + i)
@@ -189,7 +189,9 @@ let update ctx s = update_sub ctx s ~pos:0 ~len:(String.length s)
 let put_words ctx b = Array.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) ctx.h
 
 let finalize ctx =
-  let bits = Int64.mul ctx.total 8L in
+  (* The bit length mod 2^64 depends only on the byte count mod 2^61,
+     which [total] holds exactly. *)
+  let bits = Int64.mul (Int64.of_int ctx.total) 8L in
   (* Padding: 0x80, zeros up to 56 mod 64, 8-byte big-endian bit length. *)
   let zeros = (119 - ctx.fill) mod 64 in
   let pad = Bytes.make (1 + zeros + 8) '\x00' in
@@ -215,25 +217,43 @@ let state_len = 32 + 8 + 1 + 63
 let export_state ctx =
   let b = Bytes.make state_len '\x00' in
   put_words ctx b;
-  Bytes.set_int64_be b 32 ctx.total;
+  (* [total] is the byte count mod 2^63; as an unsigned 63-bit value it
+     is the count itself for any message shorter than 2^63 bytes. *)
+  Bytes.set_int64_be b 32 (Int64.logand (Int64.of_int ctx.total) Int64.max_int);
   Bytes.set b 40 (Char.chr ctx.fill);
   Bytes.blit ctx.block 0 b 41 ctx.fill;
   Bytes.unsafe_to_string b
 
+(* In place, allocating nothing: every field is read a byte at a time
+   into native ints. *)
+let byte s i = Char.code (String.unsafe_get s i)
+
+let import_state_into ctx s =
+  String.length s = state_len
+  &&
+  let fill = byte s 40 in
+  let total = ref 0 in
+  for i = 32 to 39 do
+    total := (!total lsl 8) lor byte s i
+  done;
+  (* A state between updates always has fill < 64, and the buffered
+     tail is exactly total mod 64; a count of 2^63 or more (top bit
+     set) is refused. *)
+  fill <= 63 && byte s 32 < 0x80 && !total land 63 = fill
+  && begin
+       for i = 0 to 7 do
+         let j = 4 * i in
+         ctx.h.(i) <- word (byte s j) (byte s (j + 1)) (byte s (j + 2)) (byte s (j + 3))
+       done;
+       ctx.total <- !total;
+       ctx.fill <- fill;
+       Bytes.blit_string s 41 ctx.block 0 fill;
+       true
+     end
+
 let import_state s =
-  if String.length s <> state_len then None
-  else begin
-    let fill = Char.code s.[40] and total = String.get_int64_be s 32 in
-    (* A state between updates always has fill < 64, and the buffered
-       tail is exactly total mod 64. *)
-    if fill > 63 || Int64.rem total 64L <> Int64.of_int fill || total < 0L then None
-    else begin
-      let h = Array.init 8 (fun i -> Int32.to_int (String.get_int32_be s (4 * i)) land mask) in
-      let block = Bytes.make 64 '\x00' in
-      Bytes.blit_string s 41 block 0 fill;
-      Some { h; block; fill; total; w = Array.make 64 0 }
-    end
-  end
+  let ctx = init () in
+  if import_state_into ctx s then Some ctx else None
 
 let digest s =
   let ctx = init () in

@@ -41,6 +41,12 @@ val import_state : string -> ctx option
     message gives the same digest as one-shot hashing. [None] if the
     string is not a well-formed midstate. *)
 
+val import_state_into : ctx -> string -> bool
+(** [import_state_into ctx s] overwrites [ctx] with the midstate [s] in
+    place and allocates nothing, so [ctx] continues exactly as a context
+    from [import_state s] would. [false], with [ctx] untouched, if [s] is
+    not a well-formed midstate. *)
+
 val digest : string -> string
 (** One-shot hash of a full string; 32 raw bytes. *)
 

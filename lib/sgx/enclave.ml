@@ -5,9 +5,17 @@ let rx = { r = true; w = false; x = true }
 let r_only = { r = true; w = false; x = false }
 let none = { r = false; w = false; x = false }
 
+(* One string per permission set, built once: the measurement's page
+   memo matches a page's permissions by physical equality first. *)
+let perm_strings =
+  Array.init 8 (fun i ->
+      Printf.sprintf "%c%c%c"
+        (if i land 4 <> 0 then 'r' else '-')
+        (if i land 2 <> 0 then 'w' else '-')
+        (if i land 1 <> 0 then 'x' else '-'))
+
 let perm_to_string p =
-  Printf.sprintf "%c%c%c" (if p.r then 'r' else '-') (if p.w then 'w' else '-')
-    (if p.x then 'x' else '-')
+  perm_strings.((if p.r then 4 else 0) lor (if p.w then 2 else 0) lor if p.x then 1 else 0)
 
 type state = Building | Live | Sealed
 
@@ -74,10 +82,9 @@ let eadd t ~vaddr ~perm ~content =
     fault "EADD: content must be one page (%d bytes)" page_size;
   Perf.count_sgx t.counters 1;
   add_backed_page t ~vaddr ~perm ~content;
-  Measurement.add_page t.meas ~vaddr ~perms:(perm_to_string perm);
   (* EEXTEND measures 256 bytes per instruction: 16 per page. *)
   Perf.count_sgx t.counters (page_size / 256);
-  Measurement.extend t.meas ~vaddr ~content
+  Measurement.page t.meas ~vaddr ~perms:(perm_to_string perm) ~content
 
 let measure_data t ~tag ~content =
   if t.lifecycle <> Building then fault "measure_data after EINIT";

@@ -320,6 +320,128 @@ let epc_create_allocation () =
   Alcotest.(check string) "first page reads zero" (String.make page '\x00')
     (Epc.load epc (Epc.alloc epc))
 
+(* ------------------------------------------------------------------ *)
+(* Page memo: every measurement equals an independent log              *)
+(* ------------------------------------------------------------------ *)
+
+let u64le v = String.init 8 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+
+let perm_string (p : Enclave.perm) =
+  String.concat ""
+    [ (if p.r then "r" else "-"); (if p.w then "w" else "-"); (if p.x then "x" else "-") ]
+
+(* The measurement with nothing but SHA-256 over the byte-exact log: the
+   ECREATE record, then per page its EADD record and one EEXTEND record
+   per 256 bytes. *)
+let reference ~base ~size pages =
+  let ctx = Crypto.Sha256.init () in
+  let add = Crypto.Sha256.update ctx in
+  add "ECREATE\x00";
+  add (u64le base);
+  add (u64le size);
+  List.iter
+    (fun (vaddr, perm, content) ->
+      add "EADD\x00\x00\x00\x00";
+      add (u64le vaddr);
+      add (perm_string perm);
+      add "\x00";
+      for i = 0 to (String.length content / 256) - 1 do
+        add "EEXTEND\x00";
+        add (u64le (vaddr + (256 * i)));
+        Crypto.Sha256.update_sub ctx content ~pos:(256 * i) ~len:256
+      done)
+    pages;
+  Crypto.Sha256.finalize ctx
+
+let memo_base = 0x200000
+let memo_enclave_size = 32 * page
+
+let einit_of pages =
+  let epc = fresh_epc ~pages:(List.length pages) () in
+  let e = Enclave.ecreate epc ~base:memo_base ~size:memo_enclave_size () in
+  List.iter (fun (vaddr, perm, content) -> Enclave.eadd e ~vaddr ~perm ~content) pages;
+  Enclave.einit e
+
+(* [n] pages no other test builds: contents drawn from [salt]. *)
+let fresh_pages ~salt n =
+  let st = Random.State.make [| Hashtbl.hash salt |] in
+  List.init n (fun i ->
+      ( memo_base + (i * page),
+        (if i < 2 then Enclave.rx else Enclave.rw),
+        String.init page (fun _ -> Char.chr (Random.State.int st 256)) ))
+
+let check_exact what pages =
+  Alcotest.(check string) what
+    (Crypto.Sha256.hex (reference ~base:memo_base ~size:memo_enclave_size pages))
+    (Crypto.Sha256.hex (einit_of pages))
+
+let memo_cold_and_warm () =
+  let pages = fresh_pages ~salt:"cold-warm" 8 in
+  check_exact "cold" pages;
+  (* Had the cold build filled the memo and emptied it part-way, this
+     one re-hashes the pages it lost. *)
+  check_exact "warm" pages;
+  let entries = Measurement.memo_entries () in
+  check_exact "warm again" pages;
+  (* Equal bytes in other strings match too, after [String.equal]. *)
+  check_exact "warm, copied pages"
+    (List.map (fun (v, p, c) -> (v, p, Bytes.to_string (Bytes.of_string c))) pages);
+  Alcotest.(check int) "warm builds hash no page" entries (Measurement.memo_entries ())
+
+(* A page that differs from a remembered one in a single field, at the
+   very state where the memo holds the original, must be hashed. *)
+let memo_changed_page () =
+  let pages = fresh_pages ~salt:"changed" 8 in
+  check_exact "memoized" pages;
+  let change k f = List.mapi (fun i p -> if i = k then f p else p) pages in
+  check_exact "one byte"
+    (change 3 (fun (v, p, c) ->
+         let b = Bytes.of_string c in
+         Bytes.set b 100 (Char.chr (Char.code c.[100] lxor 1));
+         (v, p, Bytes.to_string b)));
+  check_exact "perms" (change 1 (fun (v, _, c) -> (v, Enclave.rw, c)));
+  check_exact "vaddr" (change 5 (fun (_, p, c) -> (memo_base + (20 * page), p, c)));
+  check_exact "memoized again" pages
+
+(* Two domains build two page sets, interleaved in opposite orders, at
+   once. *)
+let memo_two_domains () =
+  let a = fresh_pages ~salt:"domain-a" 16 and b = fresh_pages ~salt:"domain-b" 16 in
+  let ref_a = reference ~base:memo_base ~size:memo_enclave_size a
+  and ref_b = reference ~base:memo_base ~size:memo_enclave_size b in
+  let builds first second =
+    List.init 10 (fun i ->
+        let pages, expect = if i mod 2 = 0 then first else second in
+        (einit_of pages, expect))
+  in
+  let d1 = Domain.spawn (fun () -> builds (a, ref_a) (b, ref_b)) in
+  let d2 = Domain.spawn (fun () -> builds (b, ref_b) (a, ref_a)) in
+  List.iter
+    (fun (got, expect) ->
+      Alcotest.(check string) "concurrent build" (Crypto.Sha256.hex expect) (Crypto.Sha256.hex got))
+    (Domain.join d1 @ Domain.join d2)
+
+(* More distinct pages than the memo holds: it stays within its cap and
+   the measurement stays exact, cold and after the clears. The pages
+   are short, since [Measurement.page] measures any length. *)
+let memo_bound () =
+  let n = Measurement.memo_cap + 100 in
+  let pages = List.init n (fun i -> (i * page, Enclave.rw, u64le i ^ String.make 248 'b')) in
+  let measure () =
+    let m = Measurement.start ~base:0 ~size:(n * page) in
+    List.iter
+      (fun (vaddr, perm, content) ->
+        Measurement.page m ~vaddr ~perms:(Enclave.perm_to_string perm) ~content;
+        if Measurement.memo_entries () > Measurement.memo_cap then
+          Alcotest.failf "memo holds %d entries, cap %d" (Measurement.memo_entries ())
+            Measurement.memo_cap)
+      pages;
+    Measurement.finalize m
+  in
+  let expect = Crypto.Sha256.hex (reference ~base:0 ~size:(n * page) pages) in
+  Alcotest.(check string) "first pass" expect (Crypto.Sha256.hex (measure ()));
+  Alcotest.(check string) "second pass" expect (Crypto.Sha256.hex (measure ()))
+
 let () =
   Alcotest.run "sgx"
     [
@@ -358,6 +480,13 @@ let () =
         [
           Alcotest.test_case "two-level protection" `Quick host_two_level_protection;
           Alcotest.test_case "unmapped gives nothing" `Quick host_unmapped_gives_nothing;
+        ] );
+      ( "page memo",
+        [
+          Alcotest.test_case "cold and warm" `Quick memo_cold_and_warm;
+          Alcotest.test_case "changed page at a memoized state" `Quick memo_changed_page;
+          Alcotest.test_case "two domains" `Quick memo_two_domains;
+          Alcotest.test_case "bounded" `Quick memo_bound;
         ] );
       ("allocation", [ Alcotest.test_case "Epc.create at 4096 pages" `Quick epc_create_allocation ]);
     ]

@@ -149,10 +149,13 @@ let pipeline_events_in_order () =
 (* The ELF magic is checked once, as soon as 16 bytes have landed: a
    non-ELF stream must not copy its growing prefix on every record.
    Both 2 MiB streams are rejected as malformed and differ only in their
-   first five bytes, so they should allocate alike. An unmeasured run
-   first fills the process-wide memos (the client's expected measurement
-   and the seed's platform key), which only the first run on a
-   configuration pays for. *)
+   first five bytes, so they should allocate alike. Two unmeasured runs
+   first fill the process-wide memos (the enclave build's plan and
+   pages, and the seed's platform key), which only the first run on a
+   configuration pays for; the second re-hashes any pages the first
+   lost, should it have filled the page memo and emptied it part-way.
+   Each reading is taken after a trailing [Gc.minor ()], because OCaml
+   5.1 counts what is still in the minor heap short. *)
 let non_elf_prefix_checked_once () =
   let cfg = { (small_config "prefix-once") with Engarde.Provision.heap_pages = 1024 } in
   let allocated magic =
@@ -160,12 +163,14 @@ let non_elf_prefix_checked_once () =
     Gc.minor ();
     let before = Gc.allocated_bytes () in
     let o = Engarde.Provision.run ~channel:`Streaming cfg ~payload in
+    Gc.minor ();
     let bytes = Gc.allocated_bytes () -. before in
     (match o.Engarde.Provision.result with
     | Error (Engarde.Provision.Bad_elf _) -> ()
     | r -> Alcotest.failf "%S stream: %s" magic (result_shape r));
     bytes
   in
+  ignore (allocated "\x7fELF\x02");
   ignore (allocated "\x7fELF\x02");
   let elf = allocated "\x7fELF\x02" in
   let other = allocated "\x00ELF\x02" in
@@ -300,6 +305,7 @@ let zero_rtt_forged_fin_length () =
     Gc.minor ();
     let before = Gc.allocated_bytes () in
     let o = Engarde.Provision.run ~channel:`Streaming ~tamper ~resume:ticket cfg ~payload in
+    Gc.minor ();
     (o, Gc.allocated_bytes () -. before)
   in
   let honest, _ = run () in
@@ -325,12 +331,13 @@ let zero_rtt_forged_fin_length () =
 (* ------------------------------------------------------------------ *)
 
 (* One 429.mcf streaming job on the benchmark's fast enclave
-   (benchmark/service_loop.ml), after a warm-up run on the same
-   configuration has filled the process-wide memos. The reading is
-   taken after a second [Gc.minor ()], because OCaml 5.1 counts what is
-   still in the minor heap short; the ceiling sits about 10% above the
-   measured 63.0 MB. Raising it needs a stated reason; a change that
-   cuts the job's allocation lowers it. *)
+   (benchmark/service_loop.ml), after warm-up runs on the same
+   configuration have filled the process-wide memos, so its enclave
+   build hashes no page. The reading is taken after a second
+   [Gc.minor ()], because OCaml 5.1 counts what is still in the minor
+   heap short; the ceiling sits about 10% above the measured 56.8 MB.
+   Raising it needs a stated reason; a change that cuts the job's
+   allocation lowers it. *)
 let warm_job_allocation () =
   let payload = Lazy.force mcf_payload in
   let run () =
@@ -338,16 +345,19 @@ let warm_job_allocation () =
       ~policies:[ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ]
       (small_config "engarde-bench") ~payload
   in
+  (* Two warm-ups: should the first fill the page memo and empty it
+     part-way, the second re-hashes the pages it lost. *)
   accepted_outcome "warm-up" (run ());
+  accepted_outcome "second warm-up" (run ());
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   let o = run () in
   Gc.minor ();
   let bytes = Gc.allocated_bytes () -. before in
   accepted_outcome "measured" o;
-  let ceiling = 69e6 in
+  let ceiling = 62.5e6 in
   if bytes > ceiling then
-    Alcotest.failf "warm 429.mcf streaming job allocated %.1f MB, ceiling %.0f MB" (bytes /. 1e6)
+    Alcotest.failf "warm 429.mcf streaming job allocated %.1f MB, ceiling %.1f MB" (bytes /. 1e6)
       (ceiling /. 1e6)
 
 (* ------------------------------------------------------------------ *)
