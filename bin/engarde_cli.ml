@@ -540,25 +540,21 @@ let callgraph_cmd =
         Printf.printf "%-32s %#10x %4d %4d %4d %9s\n" f.Engarde.Analysis.fn_name
           f.Engarde.Analysis.fn_addr
           cg.Engarde.Callgraph.scc_id.(fi)
-          (List.length (Engarde.Callgraph.edges_from cg fi))
-          (List.length (Engarde.Callgraph.edges_to cg fi))
+          (Engarde.Callgraph.out_degree cg fi)
+          (Engarde.Callgraph.in_degree cg fi)
           (if cg.Engarde.Callgraph.recursive.(fi) then "yes" else "no"))
       fns;
-    let count k =
-      Array.fold_left
-        (fun n (e : Engarde.Callgraph.edge) ->
-          if e.Engarde.Callgraph.e_kind = k then n + 1 else n)
-        0 cg.Engarde.Callgraph.edges
-    in
+    let count = Engarde.Callgraph.edge_count cg in
+    let direct = count Engarde.Callgraph.Direct
+    and indirect = count Engarde.Callgraph.Indirect
+    and tail = count Engarde.Callgraph.Tail
+    and jump_into = count Engarde.Callgraph.Jump_into in
     Printf.printf
       "\n%d functions, %d components; %d edges (%d direct, %d indirect, %d tail, %d \
        jump-into)\n"
       (Array.length fns) cg.Engarde.Callgraph.n_sccs
-      (Array.length cg.Engarde.Callgraph.edges)
-      (count Engarde.Callgraph.Direct)
-      (count Engarde.Callgraph.Indirect)
-      (count Engarde.Callgraph.Tail)
-      (count Engarde.Callgraph.Jump_into);
+      (direct + indirect + tail + jump_into)
+      direct indirect tail jump_into;
     if summaries then begin
       Printf.printf "\n%-32s %8s %8s %8s %6s %7s\n" "function (bottom-up)" "defines"
         "reads" "clobbers" "canary" "returns";

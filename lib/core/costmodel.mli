@@ -115,7 +115,9 @@ val callgraph_scan_step : int
 
 val callgraph_edge : int
 (** Materializing one call-graph edge (kind tag, adjacency append,
-    predecessor backlink). *)
+    predecessor backlink). Charged per edge even where the build keeps
+    an indirect site once: the site pays for every table member it
+    reaches. *)
 
 val callgraph_scc_step : int
 (** One step of the iterative Tarjan SCC condensation (stack push/pop

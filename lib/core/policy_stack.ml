@@ -145,70 +145,66 @@ let make ?(exempt = []) ?(mode = `Flow) ?(depth = `Intra) () =
                               | Some fi ->
                                   List.filter_map
                                     (fun (e : Callgraph.edge) ->
-                                      if e.Callgraph.e_kind <> Callgraph.Tail
-                                      then None
-                                      else begin
-                                        Sgx.Perf.count_cycles perf
-                                          Costmodel.policy_step;
-                                        let callee_returns =
-                                          match
-                                            Policy.summary_of ctx
-                                              ~addr:e.Callgraph.e_target
-                                          with
-                                          | Some s -> s.Summary.s_returns
-                                          | None -> true
-                                        in
-                                        if not callee_returns then None
-                                        else
-                                          match
-                                            Disasm.index_of_addr b
-                                              e.Callgraph.e_addr
-                                          with
-                                          | None -> None
-                                          | Some ji -> (
-                                              match
-                                                Cfg.block_of_index cfg ji
-                                              with
-                                              | None -> None
-                                              | Some jb ->
-                                                  if
-                                                    not cfg.Cfg.reachable.(jb)
-                                                  then None
-                                                  else begin
-                                                    let guarded =
-                                                      List.exists
-                                                        (fun sb ->
-                                                          Sgx.Perf.count_cycles
-                                                            perf
-                                                            Costmodel.dom_step;
-                                                          Cfg.dominates cfg sb
-                                                            jb)
-                                                        site_blocks
-                                                    in
-                                                    if guarded then None
-                                                    else
-                                                      Some
-                                                        (Policy.finding
-                                                           ~policy:name
-                                                           ~addr:
-                                                             e.Callgraph.e_addr
-                                                           ~code:
-                                                             "stack-ret-unprotected-interproc"
-                                                           (Printf.sprintf
-                                                              "function %s can \
-                                                               return through \
-                                                               the tail call \
-                                                               at 0x%x \
-                                                               without \
-                                                               passing the \
-                                                               canary check"
-                                                              f.Analysis
-                                                                .fn_name
-                                                              e.Callgraph
-                                                                .e_addr))
-                                                  end)
-                                      end)
-                                    (Callgraph.edges_from g fi))
+                                      Sgx.Perf.count_cycles perf
+                                        Costmodel.policy_step;
+                                      let callee_returns =
+                                        match
+                                          Policy.summary_of ctx
+                                            ~addr:e.Callgraph.e_target
+                                        with
+                                        | Some s -> s.Summary.s_returns
+                                        | None -> true
+                                      in
+                                      if not callee_returns then None
+                                      else
+                                        match
+                                          Disasm.index_of_addr b
+                                            e.Callgraph.e_addr
+                                        with
+                                        | None -> None
+                                        | Some ji -> (
+                                            match
+                                              Cfg.block_of_index cfg ji
+                                            with
+                                            | None -> None
+                                            | Some jb ->
+                                                if
+                                                  not cfg.Cfg.reachable.(jb)
+                                                then None
+                                                else begin
+                                                  let guarded =
+                                                    List.exists
+                                                      (fun sb ->
+                                                        Sgx.Perf.count_cycles
+                                                          perf
+                                                          Costmodel.dom_step;
+                                                        Cfg.dominates cfg sb
+                                                          jb)
+                                                      site_blocks
+                                                  in
+                                                  if guarded then None
+                                                  else
+                                                    Some
+                                                      (Policy.finding
+                                                         ~policy:name
+                                                         ~addr:
+                                                           e.Callgraph.e_addr
+                                                         ~code:
+                                                           "stack-ret-unprotected-interproc"
+                                                         (Printf.sprintf
+                                                            "function %s can \
+                                                             return through \
+                                                             the tail call \
+                                                             at 0x%x \
+                                                             without \
+                                                             passing the \
+                                                             canary check"
+                                                            f.Analysis
+                                                              .fn_name
+                                                            e.Callgraph
+                                                              .e_addr))
+                                                end))
+                                    (Callgraph.tail_edges g fi))
                         in
                         (match tail_bad with
                         | [] -> List.rev !bad
