@@ -47,19 +47,6 @@ let is_table_jmp (i : Insn.t) =
 let is_table_nop (i : Insn.t) =
   match (i.Insn.mnem, i.Insn.ops) with Insn.NOP, [ Insn.Mem _ ] -> true | _ -> false
 
-(* Smallest entry index whose address is >= [addr] (= n when past the
-   end); entries are sorted and contiguous. *)
-let lower_bound (entries : Disasm.entry array) addr =
-  let n = Array.length entries in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if entries.(mid).Disasm.addr < addr then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 n
-
 let build perf (b : Disasm.buffer) symbols =
   let before = Sgx.Perf.total_cycles perf in
   let entries = b.Disasm.entries in
@@ -146,7 +133,7 @@ let build perf (b : Disasm.buffer) symbols =
            let fn_slice =
              match Disasm.index_of_addr b addr with
              | None -> None
-             | Some lo -> Some (lo, lower_bound entries fn_end)
+             | Some lo -> Some (lo, Decoder.lower_bound entries fn_end)
            in
            { fn_addr = addr; fn_name = name; fn_end; fn_slice })
     |> Array.of_list

@@ -1,21 +1,13 @@
-type entry = {
+type entry = X86.Decoder.decoded = {
   addr : int;
   insn : X86.Insn.t;
   len : int;
   meta : X86.Decoder.meta;
 }
 
-type buffer = {
-  entries : entry array;
-  base : int;
-  code : X86.Decoder.src;
-  index : (int, int) Hashtbl.t;
-}
+type buffer = { entries : entry array; base : int; code : X86.Decoder.src }
 
-(* The mli exposes buffer without the index field; reconstruct accessors
-   here. *)
-
-let index_of_addr b addr = Hashtbl.find_opt b.index addr
+let index_of_addr b addr = X86.Decoder.index_of_addr b.entries addr
 
 let code_length = X86.Decoder.src_length
 
@@ -36,18 +28,18 @@ let run_src ?(alloc = `Page) perf ~src ~base ~symbols =
         if Elf64.Types.symbol_is_func s then Some (s.st_value - base) else None)
       symbols
   in
-  match X86.Nacl.validate_src ~roots src with
+  match X86.Nacl.validate_src ~base ~roots src with
   | Error v -> Error v
-  | Ok decoded ->
-      let n = Array.length decoded in
+  | Ok entries ->
+      let n = Array.length entries in
       (* Decode cost: table dispatch + per byte + per prefix byte. *)
       Array.iter
-        (fun (d : X86.Decoder.decoded) ->
+        (fun e ->
           Sgx.Perf.count_cycles perf
             (Costmodel.decode_base
-            + (Costmodel.decode_per_byte * d.meta.len)
-            + (Costmodel.decode_per_prefix * d.meta.n_prefix)))
-        decoded;
+            + (Costmodel.decode_per_byte * e.len)
+            + (Costmodel.decode_per_prefix * e.meta.n_prefix)))
+        entries;
       (* Buffer memory comes from malloc, which exits the enclave via a
          trampoline. The paper's optimization allocates a page at a time
          (Section 4); the naive alternative pays one trampoline per
@@ -58,16 +50,8 @@ let run_src ?(alloc = `Page) perf ~src ~base ~symbols =
         | `Record -> n
       in
       for _ = 1 to trampolines do Sgx.Perf.trampoline perf done;
-      let entries =
-        Array.map
-          (fun (d : X86.Decoder.decoded) ->
-            { addr = base + d.off; insn = d.insn; len = d.meta.len; meta = d.meta })
-          decoded
-      in
-      let index = Hashtbl.create (2 * n) in
-      Array.iteri (fun i e -> Hashtbl.replace index e.addr i) entries;
       let symhash = Symhash.build perf symbols in
-      Ok ({ entries; base; code = src; index }, symhash)
+      Ok ({ entries; base; code = src }, symhash)
 
 let run ?alloc perf ~code ~base ~symbols =
   run_src ?alloc perf ~src:(X86.Decoder.src_of_string code) ~base ~symbols

@@ -6,13 +6,18 @@
     accumulating every decoded instruction into a dynamically allocated
     instruction buffer — the input all policy modules consume. The
     buffer grows one page at a time: each page allocation costs one
-    enclave-exit trampoline, the paper's explicit [malloc] optimization. *)
+    enclave-exit trampoline, the paper's explicit [malloc] optimization.
 
-type entry = {
+    The model charges that buffer by the page; the simulator stores it
+    once. The decoder's sweep writes each instruction's record straight
+    into one array, NaCl validates that array, and it becomes
+    [entries] as it is: no copy, no second record, no hash table. *)
+
+type entry = X86.Decoder.decoded = {
   addr : int;                 (** virtual address of the instruction *)
-  insn : X86.Insn.t;
+  insn : X86.Insn.t;          (** shares its register operands *)
   len : int;
-  meta : X86.Decoder.meta;
+  meta : X86.Decoder.meta;    (** one shared record per shape *)
 }
 
 type buffer = {
@@ -20,12 +25,11 @@ type buffer = {
   base : int;                 (** vaddr of the first code byte *)
   code : X86.Decoder.src;     (** raw text bytes, for hashing — an
                                   off-heap view *)
-  index : (int, int) Hashtbl.t;  (** vaddr -> entry index (use
-                                     {!index_of_addr}) *)
 }
 
 val index_of_addr : buffer -> int -> int option
-(** Buffer index of the instruction starting at a virtual address. *)
+(** Buffer index of the instruction starting at a virtual address: a
+    binary search over [entries] ({!X86.Decoder.index_of_addr}). *)
 
 val code_length : X86.Decoder.src -> int
 val code_get : X86.Decoder.src -> int -> char

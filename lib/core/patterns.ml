@@ -17,14 +17,20 @@ let canary_load_into r (i : Insn.t) =
       m.Insn.seg_fs && m.Insn.disp = 0x28 && m.Insn.base = None && Reg.equal dst r
   | _ -> false
 
+(* Is the last operand register r? *)
+let rec last_is r = function
+  | [ Insn.Reg (_, dst) ] -> Reg.equal dst r
+  | [] | [ _ ] -> false
+  | _ :: ops -> last_is r ops
+
 (* Does this instruction (re)define register r? Destination is the last
    operand under the AT&T convention the IR uses. *)
 let defines r (i : Insn.t) =
-  match (i.Insn.mnem, List.rev i.Insn.ops) with
+  match (i.Insn.mnem, i.Insn.ops) with
   | (Insn.MOV | Insn.LEA | Insn.ADD | Insn.SUB | Insn.AND | Insn.OR | Insn.XOR
     | Insn.IMUL | Insn.SHL | Insn.SHR),
-    Insn.Reg (_, dst) :: _ ->
-      Reg.equal dst r
+    ops ->
+      last_is r ops
   | Insn.POP, [ Insn.Reg (_, dst) ] -> Reg.equal dst r
   | _ -> false
 

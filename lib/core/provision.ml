@@ -189,6 +189,32 @@ let platform c =
           Hashtbl.replace platform_memo seed d;
           d)
 
+(* The enclave's RSA keypair, one per (seed, measurement, modulus size)
+   per process: its DRBG is seeded from [c.seed ^ measurement], so a
+   layout always yields the same key, and keygen costs more than a
+   warm fast-config inspection. [Bignum] writes only into arrays it has
+   just allocated, never into its arguments, so pipelines in any domain
+   can share a key. As with the platform memo, the key is generated
+   under the lock. Emptied when it holds [plan_cap] keys. *)
+let keypair_memo : (string * string * int, Crypto.Rsa.keypair) Hashtbl.t = Hashtbl.create 4
+let keypair_memo_lock = Mutex.create ()
+
+let enclave_keypair c ~measurement =
+  let key = (c.seed, measurement, c.rsa_bits) in
+  Mutex.protect keypair_memo_lock (fun () ->
+      match Hashtbl.find_opt keypair_memo key with
+      | Some k -> k
+      | None ->
+          if Hashtbl.length keypair_memo >= plan_cap then Hashtbl.reset keypair_memo;
+          let drbg =
+            Crypto.Drbg.create ~personalization:"engarde-enclave" (c.seed ^ measurement)
+          in
+          let k = Crypto.Rsa.generate drbg ~bits:c.rsa_bits in
+          Hashtbl.replace keypair_memo key k;
+          k)
+
+let keypairs_memoized () = Mutex.protect keypair_memo_lock (fun () -> Hashtbl.length keypair_memo)
+
 let build_enclave c epc perf =
   let enclave = Sgx.Enclave.ecreate epc ~perf ~base:enclave_base ~size:enclave_size () in
   Array.iter
@@ -379,10 +405,9 @@ let run ?tamper ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
   let device = platform c in
   let enclave, measurement = build_enclave c epc report.Report.provisioning in
   (* Enclave-side ephemeral keypair; its hash goes into the quote.
-     Lazy: a successful 0-RTT resumption never generates it — that is
+     Lazy: a successful 0-RTT resumption never asks for it — that is
      the latency the ticket buys. *)
-  let enclave_drbg = Crypto.Drbg.create ~personalization:"engarde-enclave" (c.seed ^ measurement) in
-  let keypair = lazy (Crypto.Rsa.generate enclave_drbg ~bits:c.rsa_bits) in
+  let keypair = lazy (enclave_keypair c ~measurement) in
   let client =
     Channel.Client.create ~programs
       ~device_pub:(Sgx.Quote.device_public device)

@@ -134,6 +134,20 @@ val expected_measurement : config -> string
     once a process has built a layout, replaying it hashes no page, and
     the digest is the same either way. *)
 
+val enclave_keypair : config -> measurement:string -> Crypto.Rsa.keypair
+(** The enclave's RSA keypair for a measurement: what
+    [Crypto.Rsa.generate] draws at [config.rsa_bits] from a DRBG
+    personalized ["engarde-enclave"] and seeded with
+    [config.seed ^ measurement]. Memoized per (seed, measurement,
+    modulus size) per process, at most {!plan_cap} keys, and shared by
+    every domain. *)
+
+val plan_cap : int
+(** How many layouts' plans, and how many keypairs, a process keeps. *)
+
+val keypairs_memoized : unit -> int
+(** Keypairs the memo holds now. *)
+
 (** Resumption tickets: sealed under the inspector's SGX sealing key,
     binding the enclave measurement, the negotiated policy-set digest,
     and a provider-chosen key epoch. Deterministic SIV-style sealing —

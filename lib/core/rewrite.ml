@@ -170,17 +170,10 @@ let add_stack_protection ?(exempt = []) (elf : Elf64.Reader.t) =
       | [ t ] -> t
       | _ -> fail "need exactly one text section"
     in
-    let decoded =
-      match X86.Decoder.decode_all text.Elf64.Reader.data with
+    let entries =
+      match X86.Decoder.decode_all ~base:text.Elf64.Reader.addr text.Elf64.Reader.data with
       | Ok ds -> ds
       | Error e -> fail "undecodable text: %s" (X86.Decoder.error_to_string e)
-    in
-    let entries =
-      List.map
-        (fun (d : X86.Decoder.decoded) ->
-          { Disasm.addr = text.Elf64.Reader.addr + d.off; insn = d.insn; len = d.meta.len;
-            meta = d.meta })
-        decoded
     in
     let text_lo = text.Elf64.Reader.addr in
     let text_hi = text_lo + String.length text.Elf64.Reader.data in
@@ -229,11 +222,9 @@ let add_stack_protection ?(exempt = []) (elf : Elf64.Reader.t) =
     let funcs =
       List.map
         (fun span ->
-          let body =
-            List.filter
-              (fun (e : Disasm.entry) -> e.Disasm.addr >= span.lo && e.Disasm.addr < span.hi)
-              entries
-          in
+          let lo = X86.Decoder.lower_bound entries span.lo in
+          let hi = max lo (X86.Decoder.lower_bound entries span.hi) in
+          let body = Array.to_list (Array.sub entries lo (hi - lo)) in
           let lifted = lift_function span body ~fn_at ~data_sym_at in
           if Hashtbl.mem exempt_tbl lifted.Asm.fname then lifted
           else protect_function lifted)

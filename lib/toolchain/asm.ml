@@ -130,5 +130,5 @@ let count_only funcs =
 
 let instruction_count r =
   match Decoder.decode_all r.code with
-  | Ok ds -> List.length ds
+  | Ok ds -> Array.length ds
   | Error e -> failwith ("Asm.instruction_count: " ^ Decoder.error_to_string e)

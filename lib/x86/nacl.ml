@@ -16,79 +16,72 @@ let violation_to_string v = Format.asprintf "%a" pp_violation v
 
 let bundle_size = 32
 
-let branch_target (d : Decoder.decoded) =
+(* Target address of a direct CALL/JMP/Jcc, or [min_int]. *)
+let target (d : Decoder.decoded) =
   match (d.insn.mnem, d.insn.ops) with
-  | (CALL | JMP | JCC _), [ Rel rel ] -> Some (d.off + d.meta.len + rel)
-  | _ -> None
+  | (CALL | JMP | JCC _), [ Rel rel ] -> d.addr + d.len + rel
+  | _ -> min_int
 
-let validate_src ?(roots = []) ?(check_reachability = true) code =
-  match Decoder.decode_all_src code with
+let falls_through (d : Decoder.decoded) =
+  match d.insn.mnem with
+  | JMP | JMP_IND | RET | UD2 -> false
+  | MOV | LEA | ADD | SUB | AND | OR | XOR | CMP | TEST | IMUL
+  | SHL | SHR | PUSH | POP | CALL | CALL_IND | JCC _ | NOP -> true
+
+let is_nop (d : Decoder.decoded) = match d.insn.mnem with NOP -> true | _ -> false
+
+let validate_src ?(base = 0) ?(roots = []) ?(check_reachability = true) code =
+  match Decoder.decode_all_src ~base code with
   | Error e -> Error (Decode_error e)
   | Ok insns ->
-      let insns = Array.of_list insns in
       let n = Array.length insns in
-      (* Map from offset to instruction index, for target validation. *)
-      let index_of_off = Hashtbl.create (2 * n) in
-      Array.iteri (fun i (d : Decoder.decoded) -> Hashtbl.replace index_of_off d.off i) insns;
+      let index = Decoder.find_addr insns in
       let rec check_bundles i =
         if i >= n then None
         else begin
           let d = insns.(i) in
-          let first = d.Decoder.off / bundle_size in
-          let last = (d.Decoder.off + d.Decoder.meta.len - 1) / bundle_size in
-          if first <> last then Some (Bundle_overlap { off = d.Decoder.off; len = d.Decoder.meta.len })
+          let off = d.addr - base in
+          if off / bundle_size <> (off + d.len - 1) / bundle_size then
+            Some (Bundle_overlap { off; len = d.len })
           else check_bundles (i + 1)
         end
       in
       let rec check_targets i =
         if i >= n then None
         else begin
-          let d = insns.(i) in
-          match branch_target d with
-          | Some target when not (Hashtbl.mem index_of_off target) ->
-              Some (Bad_branch_target { off = d.Decoder.off; target })
-          | Some _ | None -> check_targets (i + 1)
+          let t = target insns.(i) in
+          if t <> min_int && index t < 0 then
+            Some (Bad_branch_target { off = insns.(i).addr - base; target = t - base })
+          else check_targets (i + 1)
         end
       in
       let check_reach () =
-        let reached = Array.make n false in
-        let queue = Queue.create () in
-        let push_off off =
-          match Hashtbl.find_opt index_of_off off with
-          | Some i when not reached.(i) ->
-              reached.(i) <- true;
-              Queue.add i queue
-          | Some _ | None -> ()
-        in
-        if n > 0 then push_off insns.(0).Decoder.off;
-        List.iter push_off roots;
-        while not (Queue.is_empty queue) do
-          let i = Queue.pop queue in
-          let d = insns.(i) in
-          (match branch_target d with Some t -> push_off t | None -> ());
-          let falls_through =
-            match d.insn.mnem with
-            | JMP | JMP_IND | RET | UD2 -> false
-            | MOV | LEA | ADD | SUB | AND | OR | XOR | CMP | TEST | IMUL
-            | SHL | SHR | PUSH | POP | CALL | CALL_IND | JCC _ | NOP -> true
-          in
-          if falls_through && i + 1 < n then begin
-            if not reached.(i + 1) then begin
-              reached.(i + 1) <- true;
-              Queue.add (i + 1) queue
-            end
+        (* A byte per instruction marks it reached; an instruction enters
+           the worklist once, when first marked. *)
+        let reached = Bytes.make n '\000' and work = Array.make n 0 and top = ref 0 in
+        let push i =
+          if i >= 0 && Bytes.get reached i = '\000' then begin
+            Bytes.set reached i '\001';
+            work.(!top) <- i;
+            incr top
           end
+        in
+        if n > 0 then push 0;
+        List.iter (fun r -> push (index (base + r))) roots;
+        while !top > 0 do
+          decr top;
+          let i = work.(!top) in
+          let t = target insns.(i) in
+          if t <> min_int then push (index t);
+          if falls_through insns.(i) && i + 1 < n then push (i + 1)
         done;
         (* Alignment padding (nops between a function's terminal ret/jmp
            and the next 32-byte-aligned function entry) is conventional
            dead code; only non-nop unreachable instructions are flagged. *)
-        let is_nop (d : Decoder.decoded) =
-          match d.insn.mnem with NOP -> true | _ -> false
-        in
         let rec first_unreached i =
           if i >= n then None
-          else if (not reached.(i)) && not (is_nop insns.(i)) then
-            Some (Unreachable { off = insns.(i).Decoder.off })
+          else if Bytes.get reached i = '\000' && not (is_nop insns.(i)) then
+            Some (Unreachable { off = insns.(i).addr - base })
           else first_unreached (i + 1)
         in
         first_unreached 0

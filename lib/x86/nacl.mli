@@ -19,24 +19,29 @@ val violation_to_string : violation -> string
 val bundle_size : int
 (** 32, as in NaCl and the paper. *)
 
-val branch_target : Decoder.decoded -> int option
-(** Target offset of a direct CALL/JMP/Jcc, if this is one. *)
+val validate_src :
+  ?base:int ->
+  ?roots:int list ->
+  ?check_reachability:bool ->
+  Decoder.src ->
+  (Decoder.decoded array, violation) result
+(** One {!Decoder.decode_all_src} sweep at [base] (default 0), in
+    place, plus the three NaCl checks in this order: bundles, then
+    direct-branch targets in instruction order, then the first
+    unreached non-nop. [roots] are offsets of additional reachability
+    roots besides offset 0 (function entries and jump-table entries
+    reached through masked indirect calls). [check_reachability]
+    defaults to [true]. Violations report offsets from the start of the
+    code. On success, returns the sweep's array: the instruction buffer
+    in code order.
+
+    Targets and roots are found with {!Decoder.find_addr} on that
+    array; reachability walks a worklist of instruction indices and
+    marks them in a byte map. Nothing else is built. *)
 
 val validate :
   ?roots:int list ->
   ?check_reachability:bool ->
   string ->
   (Decoder.decoded array, violation) result
-(** Linear-sweep disassembly plus the three NaCl checks. [roots] are
-    additional reachability roots besides offset 0 (function entries and
-    jump-table entries reached through masked indirect calls).
-    [check_reachability] defaults to [true]. On success, returns the full
-    instruction buffer in code order. *)
-
-val validate_src :
-  ?roots:int list ->
-  ?check_reachability:bool ->
-  Decoder.src ->
-  (Decoder.decoded array, violation) result
-(** {!validate} over a byte source, in place (zero-copy); {!validate}
-    copies its string into one off-heap buffer first. *)
+(** {!validate_src} over a copy of a string in one off-heap buffer. *)

@@ -639,6 +639,91 @@ let measurement_cold_replay_allocation () =
   check_replay_ceiling "cold fast-config replay" ~ceiling:3.95e6
     (replay_allocated (with_policies [ "never-seen policy set" ]))
 
+(* The inspector's front half, read between two [Gc.minor ()] calls on
+   the second of two runs. The sweep decodes into one array that NaCl
+   and Disasm keep as it is, so Disasm.run_src stays within 200 bytes
+   per instruction (about 600 with the list, the entry copy and the two
+   hash tables), and examine within about 10% of its reading. *)
+let second_run_allocated f =
+  ignore (f ());
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+let disasm_allocation () =
+  let img = Linker.link (Workloads.build Codegen.plain Workloads.Nginx) in
+  let elf =
+    match Elf64.Reader.parse img.Linker.elf with Ok e -> e | Error _ -> Alcotest.fail "parse"
+  in
+  let text = List.hd (Elf64.Reader.text_sections elf) in
+  let src = X86.Decoder.Big (Elf64.Buf.Big.of_string text.Elf64.Reader.data) in
+  let n = ref 0 in
+  let bytes =
+    second_run_allocated (fun () ->
+        match
+          Engarde.Disasm.run_src (Sgx.Perf.create ()) ~src ~base:text.Elf64.Reader.addr
+            ~symbols:elf.Elf64.Reader.symbols
+        with
+        | Ok (b, _) -> n := Array.length b.Engarde.Disasm.entries
+        | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v))
+  in
+  (* 36,068,538 bytes measured for 262,228 instructions. *)
+  if bytes > 200. *. float !n then
+    Alcotest.failf "Disasm.run_src allocated %.0f bytes for %d instructions, over 200 per instruction"
+      bytes !n
+
+let examine_allocation () =
+  let check what img ~ceiling =
+    let bytes =
+      second_run_allocated (fun () ->
+          match Engarde.Provision.examine (Engarde.Report.create ()) img.Linker.elf with
+          | Ok _ -> ()
+          | Error r -> Alcotest.failf "%s: %s" what (Engarde.Provision.rejection_to_string r))
+    in
+    if bytes > ceiling then Alcotest.failf "examine %s allocated %.0f bytes, ceiling %.0f" what bytes ceiling
+  in
+  (* 2,081,546 and 47,616,778 bytes measured. *)
+  check "plain 429.mcf" (Lazy.force mcf_plain) ~ceiling:2.3e6;
+  check "stack+ifcc nginx"
+    (Linker.link (Workloads.build { Codegen.stack_protector = true; ifcc = true } Workloads.Nginx))
+    ~ceiling:52.4e6
+
+(* The enclave's keypair comes from a process-wide memo: it must be the
+   key a fresh DRBG draws, on a miss and on a hit, and the memo must stay
+   within its cap. *)
+let key_hex (k : Crypto.Rsa.keypair) =
+  List.map Crypto.Bignum.to_hex
+    Crypto.Rsa.[ k.pub.n; k.pub.e; k.d; k.p; k.q ]
+
+let fresh_keypair (c : Engarde.Provision.config) measurement =
+  Crypto.Rsa.generate
+    (Crypto.Drbg.create ~personalization:"engarde-enclave" (c.Engarde.Provision.seed ^ measurement))
+    ~bits:c.Engarde.Provision.rsa_bits
+
+let keypair_memo_exact () =
+  (* A seed no other test runs on, so the first call misses. *)
+  let c = { fast_config with Engarde.Provision.seed = "keypair memo" } in
+  let measurement = Engarde.Provision.expected_measurement c in
+  let expected = key_hex (fresh_keypair c measurement) in
+  let cold = Engarde.Provision.enclave_keypair c ~measurement in
+  Alcotest.(check (list string)) "cold" expected (key_hex cold);
+  let warm = Engarde.Provision.enclave_keypair c ~measurement in
+  Alcotest.(check (list string)) "warm" expected (key_hex warm);
+  Alcotest.(check bool) "warm is the memoized key" true (warm == cold)
+
+let keypair_memo_bound () =
+  let c = { fast_config with Engarde.Provision.seed = "keypair bound"; rsa_bits = 64 } in
+  for i = 1 to Engarde.Provision.plan_cap + 3 do
+    let measurement = Printf.sprintf "measurement %d" i in
+    Alcotest.(check (list string)) measurement (key_hex (fresh_keypair c measurement))
+      (key_hex (Engarde.Provision.enclave_keypair c ~measurement));
+    if Engarde.Provision.keypairs_memoized () > Engarde.Provision.plan_cap then
+      Alcotest.failf "key %d: memo holds %d keys, cap %d" i (Engarde.Provision.keypairs_memoized ())
+        Engarde.Provision.plan_cap
+  done
+
 let provisioning_seals_against_extension () =
   let img = Lazy.force mcf_plain in
   let o = provision img.Linker.elf in
@@ -960,10 +1045,17 @@ let () =
           Alcotest.test_case "two domains" `Quick measurement_two_domains;
           Alcotest.test_case "memo bounded" `Slow measurement_memo_bound;
         ] );
+      ( "keypair",
+        [
+          Alcotest.test_case "memo equals a fresh keygen" `Quick keypair_memo_exact;
+          Alcotest.test_case "memo bounded" `Quick keypair_memo_bound;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "fast-config measurement replay" `Quick measurement_replay_allocation;
           Alcotest.test_case "cold replay of a new policy set" `Quick
             measurement_cold_replay_allocation;
+          Alcotest.test_case "Disasm.run_src on plain nginx" `Quick disasm_allocation;
+          Alcotest.test_case "examine on 429.mcf and nginx" `Quick examine_allocation;
         ] );
     ]

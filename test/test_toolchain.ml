@@ -99,7 +99,7 @@ let protected_fn_has_canary () =
   let chk = { Asm.fname = Codegen.stack_chk_fail_sym; items = [ Asm.Ins X86.Insn.ud2 ] } in
   let r = Asm.assemble [ f; chk ] in
   let _, ds = decode_fn r.Asm.code (List.hd r.Asm.functions) in
-  let has p = List.exists (fun (d : X86.Decoder.decoded) -> p d.X86.Decoder.insn) ds in
+  let has p = Array.exists (fun (d : X86.Decoder.decoded) -> p d.X86.Decoder.insn) ds in
   Alcotest.(check bool) "canary load present" true
     (has (X86.Insn.equal (X86.Insn.mov_fs_canary X86.Reg.RAX)));
   Alcotest.(check bool) "canary store present" true
@@ -117,7 +117,7 @@ let plain_fn_has_no_canary () =
   let r = Asm.assemble [ f ] in
   let _, ds = decode_fn r.Asm.code (List.hd r.Asm.functions) in
   Alcotest.(check bool) "no canary load" false
-    (List.exists
+    (Array.exists
        (fun (d : X86.Decoder.decoded) ->
          X86.Insn.equal d.X86.Decoder.insn (X86.Insn.mov_fs_canary X86.Reg.RAX))
        ds)
@@ -137,12 +137,12 @@ let ifcc_site_shape () =
   let _, ds = decode_fn r.Asm.code (List.hd r.Asm.functions) in
   (* The masking mask must be the paper's 0x1ff8 and the call indirect. *)
   Alcotest.(check bool) "and-mask present" true
-    (List.exists
+    (Array.exists
        (fun (d : X86.Decoder.decoded) ->
          X86.Insn.equal d.X86.Decoder.insn (X86.Insn.and_ri X86.Reg.RCX 0x1ff8))
        ds);
   Alcotest.(check bool) "indirect call present" true
-    (List.exists
+    (Array.exists
        (fun (d : X86.Decoder.decoded) ->
          X86.Insn.equal d.X86.Decoder.insn (X86.Insn.call_ind X86.Reg.RCX))
        ds)

@@ -1,6 +1,8 @@
 (* x86 substrate tests: byte-exact encodings (including every sequence
    the paper quotes), encode/decode round-trip properties, decoder
-   metadata, and NaCl validation rules. *)
+   metadata, NaCl validation rules, and the one-array instruction table
+   (decoder, NaCl, Disasm.run_src) against the list-and-Hashtbl oracle
+   in disasm_oracle.ml. *)
 
 open X86
 
@@ -205,8 +207,8 @@ let prop_stream_roundtrip =
       match Decoder.decode_all bytes with
       | Error e -> QCheck.Test.fail_reportf "decode_all error: %s" (Decoder.error_to_string e)
       | Ok ds ->
-          List.length ds = List.length insns
-          && List.for_all2 (fun (d : Decoder.decoded) i -> Insn.equal d.insn i) ds insns)
+          Array.length ds = List.length insns
+          && List.for_all2 (fun (d : Decoder.decoded) i -> Insn.equal d.insn i) (Array.to_list ds) insns)
 
 let prop_length_consistent =
   QCheck.Test.make ~name:"meta fields sum to len" ~count:1000 arb_insn (fun i ->
@@ -351,6 +353,162 @@ let prop_decoder_prefix_closed =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The instruction table against the list-and-Hashtbl oracle           *)
+(* ------------------------------------------------------------------ *)
+
+module O = Disasm_oracle
+
+let meta_tuple (m : Decoder.meta) = (m.len, m.n_prefix, m.n_opcode, m.n_disp, m.n_imm)
+let oracle_meta (m : O.meta) = (m.O.len, m.O.n_prefix, m.O.n_opcode, m.O.n_disp, m.O.n_imm)
+
+(* Address, instruction, length and meta of every record, in order. *)
+let same_records what (got : Decoder.decoded array) expected =
+  let got = Array.map (fun (d : Decoder.decoded) -> (d.addr, d.insn, d.len, meta_tuple d.meta)) got in
+  if Array.length got <> Array.length expected then
+    Alcotest.failf "%s: %d records, the oracle's %d" what (Array.length got) (Array.length expected);
+  Array.iteri
+    (fun i r -> if r <> expected.(i) then Alcotest.failf "%s: record %d differs from the oracle's" what i)
+    got
+
+let of_oracle ~base (ds : O.decoded list) =
+  Array.of_list
+    (List.map (fun (d : O.decoded) -> (base + d.O.off, d.O.insn, d.O.meta.O.len, oracle_meta d.O.meta)) ds)
+
+(* The same records or the same exact error or violation. *)
+let same_result what same got expected =
+  match (got, expected) with
+  | Ok g, Ok e -> same g e
+  | Error g, Error e when g = e -> ()
+  | _ -> Alcotest.failf "%s: one of the table and the oracle accepted, or their errors differ" what
+
+let check_decode what ~base src =
+  same_result (what ^ ": decode_all_src")
+    (same_records (what ^ ": decode_all_src"))
+    (Decoder.decode_all_src ~base src)
+    (Result.map (of_oracle ~base) (O.decode_all_src src))
+
+(* [lower_bound] and [index_of_addr] on every byte address of the text
+   and one past each end, against a scan of the oracle's addresses and
+   its table. *)
+let same_lookups what ~base ~len ds index_of_addr table (addrs : int array) =
+  let k = ref 0 in
+  for a = base - 1 to base + len do
+    while !k < Array.length addrs && addrs.(!k) < a do incr k done;
+    if Decoder.lower_bound ds a <> !k then
+      Alcotest.failf "%s: lower_bound 0x%x differs from the oracle's" what a;
+    if index_of_addr a <> Hashtbl.find_opt table a then
+      Alcotest.failf "%s: index_of_addr 0x%x differs from the oracle's" what a
+  done
+
+let check_validate what ~base ~roots ~check_reachability src =
+  let got = Nacl.validate_src ~base ~roots ~check_reachability src in
+  let expected = O.validate_src ~roots ~check_reachability src in
+  same_result (what ^ ": validate_src") (same_records (what ^ ": validate_src")) got
+    (Result.map (fun ds -> of_oracle ~base (Array.to_list ds)) expected);
+  match (got, expected) with
+  | Ok ds, Ok os ->
+      let addrs = Array.map (fun (o : O.decoded) -> base + o.O.off) os in
+      let table = Hashtbl.create 64 in
+      Array.iteri (fun i a -> Hashtbl.replace table a i) addrs;
+      same_lookups what ~base ~len:(Decoder.src_length src) ds (Decoder.index_of_addr ds) table addrs
+  | _ -> ()
+
+(* [Disasm.run_src] against the oracle's: records or violation, every
+   modelled cycle and SGX instruction, and every lookup. *)
+let check_run what ~base ~symbols src =
+  let perf = Sgx.Perf.create () and operf = Sgx.Perf.create () in
+  let got = Engarde.Disasm.run_src perf ~src ~base ~symbols in
+  let expected = O.run_src operf ~src ~base ~symbols in
+  let entries (es, _, _) =
+    Array.map (fun (e : O.entry) -> (e.O.addr, e.O.insn, e.O.len, oracle_meta e.O.meta)) es
+  in
+  same_result (what ^ ": run_src")
+    (fun (b, _) es -> same_records (what ^ ": run_src") b.Engarde.Disasm.entries es)
+    got (Result.map entries expected);
+  Alcotest.(check int) (what ^ ": cycles") (Sgx.Perf.total_cycles operf) (Sgx.Perf.total_cycles perf);
+  Alcotest.(check int) (what ^ ": SGX instructions") (Sgx.Perf.sgx_instructions operf)
+    (Sgx.Perf.sgx_instructions perf);
+  match (got, expected) with
+  | Ok (b, _), Ok (es, table, _) ->
+      same_lookups what ~base ~len:(Decoder.src_length src) b.Engarde.Disasm.entries
+        (Engarde.Disasm.index_of_addr b) table
+        (Array.map (fun (e : O.entry) -> e.O.addr) es)
+  | _ -> ()
+
+let text_of (img : Toolchain.Linker.image) =
+  match Elf64.Reader.parse img.Toolchain.Linker.elf with
+  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
+  | Ok elf -> (List.hd (Elf64.Reader.text_sections elf), elf.Elf64.Reader.symbols)
+
+let check_image what img =
+  let text, symbols = text_of img in
+  let src = Decoder.src_of_string text.Elf64.Reader.data in
+  let base = text.Elf64.Reader.addr in
+  check_decode what ~base src;
+  check_run what ~base ~symbols src
+
+let oracle_on_apps () =
+  let module C = Toolchain.Codegen in
+  List.iter
+    (fun (vname, variant) ->
+      List.iter
+        (fun bench ->
+          check_image
+            (vname ^ " " ^ Toolchain.Workloads.to_string bench)
+            (Toolchain.Linker.link (Toolchain.Workloads.build variant bench)))
+        Toolchain.Workloads.all)
+    [ ("plain", C.plain); ("stack", C.with_stack_protector); ("ifcc", C.with_ifcc);
+      ("stack+ifcc", { C.stack_protector = true; ifcc = true }) ]
+
+let oracle_on_fixtures () =
+  List.iter
+    (fun adv ->
+      check_image (Toolchain.Workloads.adversarial_to_string adv)
+        (Toolchain.Linker.link_adversarial adv))
+    Toolchain.Workloads.adversarial_all
+
+(* Byte mutations of stack+ifcc 429.mcf's text, roots and all: most
+   break the decode or a NaCl rule somewhere, and the table must report
+   exactly what the oracle reports. *)
+let mcf_text =
+  lazy
+    (text_of
+       (Toolchain.Linker.link
+          (Toolchain.Workloads.build
+             { Toolchain.Codegen.stack_protector = true; ifcc = true }
+             Toolchain.Workloads.Mcf)))
+
+let prop_oracle_mutations =
+  QCheck.Test.make ~name:"table matches the oracle on mutated text" ~count:200
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 8) (QCheck.pair QCheck.int QCheck.char))
+    (fun muts ->
+      let text, symbols = Lazy.force mcf_text in
+      let code = Bytes.of_string text.Elf64.Reader.data in
+      List.iter (fun (pos, c) -> Bytes.set code (abs (pos mod Bytes.length code)) c) muts;
+      let src = Decoder.src_of_string (Bytes.to_string code) in
+      let base = text.Elf64.Reader.addr in
+      check_decode "mutated" ~base src;
+      check_run "mutated" ~base ~symbols src;
+      true)
+
+(* Random valid encodings, bundle-padded or not, at a random base with
+   random roots (instruction starts or not), with and without the
+   reachability rule. *)
+let prop_oracle_streams =
+  QCheck.Test.make ~name:"table matches the oracle on encoded streams" ~count:300
+    QCheck.(
+      quad (list_of_size (Gen.int_range 0 80) arb_insn) bool (list_of_size (Gen.int_range 0 6) small_nat)
+        (pair (int_bound 0xffff) bool))
+    (fun (insns, padded, roots, (page, check_reachability)) ->
+      let code =
+        if padded then pad_to_bundle insns else String.concat "" (List.map Encoder.encode insns)
+      in
+      let src = Decoder.src_of_string code and base = 0x400000 + (page * 0x1000) in
+      check_decode "stream" ~base src;
+      check_validate "stream" ~base ~roots ~check_reachability src;
+      true)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -394,4 +552,10 @@ let () =
           Alcotest.test_case "decode error surfaces" `Quick nacl_decode_error_surfaces;
         ]
         @ qsuite [ prop_nacl_accepts_padded_streams; prop_nacl_total_on_garbage ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "seven apps under four variants" `Slow oracle_on_apps;
+          Alcotest.test_case "adversarial fixtures" `Quick oracle_on_fixtures;
+        ]
+        @ qsuite [ prop_oracle_mutations; prop_oracle_streams ] );
     ]
