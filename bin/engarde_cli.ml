@@ -94,9 +94,7 @@ let count =
 
 (* The scheduler's registry is the single source of truth for which
    policies are name-addressable: the flag's enum, the error text and
-   the service's admission control can never drift apart again.
-   (Policy_malware stays library-only — it needs a caller-supplied
-   signature database, so there is no sensible name to register.) *)
+   the service's admission control can never drift apart again. *)
 let reference_db = lazy (Toolchain.Libc.hash_db Toolchain.Libc.V1_0_5)
 
 let policies_of_names names =
@@ -116,8 +114,7 @@ let policy_arg =
         ~doc:
           (Printf.sprintf
              "Policy module to enforce: %s. Repeatable. (The window-scan \
-              *-pattern modes are the paper's unsound baselines; the malware \
-              scanner is library-only, it needs a signature database.)"
+              *-pattern modes are the paper's unsound baselines.)"
              (String.concat ", " Service.Scheduler.known_policies)))
 
 (* NAME=FILE (or bare FILE, named after its basename): a custom policy
@@ -401,10 +398,10 @@ let rewrite_cmd =
         exit 1
     | Ok elf -> (
         match
-          Engarde.Rewrite.add_stack_protection ~exempt:Toolchain.Libc.function_names elf
+          Toolchain.Rewrite.add_stack_protection ~exempt:Toolchain.Libc.function_names elf
         with
         | Error e ->
-            Printf.printf "%s\n" (Engarde.Rewrite.error_to_string e);
+            Printf.printf "%s\n" (Toolchain.Rewrite.error_to_string e);
             exit 1
         | Ok rewritten ->
             write_file output rewritten;

@@ -41,10 +41,10 @@ let () =
   print_endline "... rewriting: lift to IR, insert canaries, re-link ...";
   print_newline ();
   match
-    Engarde.Rewrite.add_stack_protection ~exempt:Toolchain.Libc.function_names
+    Toolchain.Rewrite.add_stack_protection ~exempt:Toolchain.Libc.function_names
       (Result.get_ok (Elf64.Reader.parse img.Toolchain.Linker.elf))
   with
-  | Error e -> failwith (Engarde.Rewrite.error_to_string e)
+  | Error e -> failwith (Toolchain.Rewrite.error_to_string e)
   | Ok rewritten ->
       inspect "rewritten" rewritten;
       Printf.printf "\nsize: %d -> %d bytes of ELF\n"

@@ -57,10 +57,6 @@ type checkpoint = {
   quote : Sgx.Quote.t;  (** report_data = {!binding} of size and root *)
 }
 
-val binding : size:int -> root:string -> string
-(** The 32-byte commitment a checkpoint quote carries as report_data:
-    SHA-256 over a domain tag, the size and the root. *)
-
 val checkpoint : t -> device:Sgx.Quote.device -> measurement:string -> checkpoint
 (** Quote-sign the current head as the service enclave [measurement]. *)
 

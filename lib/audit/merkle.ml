@@ -17,7 +17,6 @@ type t = {
 
 let create () = { leaves = Array.make 16 ""; n = 0; peaks = []; hashes = 0 }
 
-let size t = t.n
 let hash_count t = t.hashes
 
 let counted_leaf t data =

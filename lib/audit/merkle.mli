@@ -22,18 +22,12 @@ val create : unit -> t
 val append : t -> string -> int
 (** Append one leaf (raw data, any length); returns its 0-based index. *)
 
-val size : t -> int
-
 val root : t -> string
 (** Head of the current tree (32 bytes); [SHA-256("")] when empty. *)
 
 val root_at : t -> size:int -> string
 (** Head of the prefix tree over the first [size] leaves.
     @raise Invalid_argument if [size] exceeds {!size} or is negative. *)
-
-val leaf_hash : string -> string
-(** [SHA-256(0x00 || data)] — exposed so a verifier can hash the leaf it
-    was handed without trusting the prover. *)
 
 val hash_count : t -> int
 (** Total SHA-256 compressions this tree has performed (appends and

@@ -127,16 +127,14 @@ type reader = {
   mutable rrn : int;  (* next expected record number *)
   mutable rsecrets : secrets;
   mutable poisoned : bool;
-  mutable accepted : int;
   mutable epoch_updates : int;
 }
 
 let reader ~secret =
-  { repoch = 0; rrn = 0; rsecrets = derive_secrets secret; poisoned = false; accepted = 0; epoch_updates = 0 }
+  { repoch = 0; rrn = 0; rsecrets = derive_secrets secret; poisoned = false; epoch_updates = 0 }
 
 let reader_epoch r = r.repoch
 let reader_poisoned r = r.poisoned
-let records_accepted r = r.accepted
 let epoch_updates r = r.epoch_updates
 
 (* One failure poisons the stream: exactly one [Corrupt] surfaces, the
@@ -189,7 +187,6 @@ let read r ~epoch ~rn ~ciphertext ~tag =
           fail (Printf.sprintf "record %d out of order (expected %d)" rn r.rrn)
         else begin
           r.rrn <- rn + 1;
-          r.accepted <- r.accepted + 1;
           match pt with
           | Key_update ->
               ratchet ();

@@ -40,8 +40,6 @@ val confirm : resumption:string -> nonce:string -> string
 val check_confirm : resumption:string -> nonce:string -> tag:string -> bool
 (** Constant-time-ish verification of {!confirm}. *)
 
-val block_size : int
-
 (** Sealing side: owns the epoch, record number, and key schedule. *)
 type writer
 
@@ -79,5 +77,4 @@ val reader : secret:string -> reader
 val read : reader -> epoch:int -> rn:int -> ciphertext:string -> tag:string -> event
 val reader_epoch : reader -> int
 val reader_poisoned : reader -> bool
-val records_accepted : reader -> int
 val epoch_updates : reader -> int

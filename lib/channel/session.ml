@@ -88,21 +88,6 @@ let payload_messages t payload =
   finish_transfer t;
   msgs
 
-(* --- streaming client side ------------------------------------------ *)
-
-(* A persistent record-layer writer for a connection: the first
-   transfer runs in epoch 0; every later transfer opens with a
-   Key_update ratchet, so each transfer gets fresh keys and a fresh
-   record-number space. *)
-type streamer = { writer : Record.writer; mutable sent : int }
-
-let streamer ~key = { writer = Record.writer ~secret:(Record.traffic_secret ~key); sent = 0 }
-
-let stream_messages s payload =
-  let prologue = if s.sent = 0 then [] else [ Record.update_key s.writer ] in
-  s.sent <- s.sent + 1;
-  prologue @ Record.payload_records s.writer payload
-
 (* ------------------------------------------------------------------ *)
 (* Multiplexed server loop                                             *)
 (* ------------------------------------------------------------------ *)
@@ -119,7 +104,6 @@ module Mux = struct
     id : string;
     ep : Transport.endpoint;
     session : t;
-    reader : Record.reader;   (* streaming transfers on the same key *)
     mutable buf : Bytes.t;
     mutable received : int;   (* bytes of plaintext accumulated *)
     mutable poisoned : bool;  (* corrupt transfer: discard until Transfer_done *)
@@ -131,11 +115,9 @@ module Mux = struct
   type mux = {
     conns : (string, conn) Hashtbl.t;
     mutable order : string list;  (* attach order, reversed *)
-    mutable stats_records : int;
-    mutable stats_epoch_updates : int;
   }
 
-  let create () = { conns = Hashtbl.create 16; order = []; stats_records = 0; stats_epoch_updates = 0 }
+  let create () = { conns = Hashtbl.create 16; order = [] }
 
   let attach m ~id ~key ep =
     if Hashtbl.mem m.conns id then
@@ -145,7 +127,6 @@ module Mux = struct
         id;
         ep;
         session = new_session ~key;
-        reader = Record.reader ~secret:(Record.traffic_secret ~key);
         buf = Bytes.create 0;
         received = 0;
         poisoned = false;
@@ -153,8 +134,6 @@ module Mux = struct
     m.order <- id :: m.order
 
   let connections m = List.rev m.order
-  let records_received m = m.stats_records
-  let epoch_updates m = m.stats_epoch_updates
 
   let reset c =
     c.buf <- Bytes.create 0;
@@ -170,8 +149,8 @@ module Mux = struct
     Bytes.blit_string plain 0 c.buf offset (String.length plain);
     c.received <- c.received + String.length plain
 
-  (* Shared end-of-transfer check: both the legacy Transfer_done and
-     the streaming Fin commit to the payload's length and digest. *)
+  (* End of transfer: the Transfer_done trailer commits to the payload's
+     length and digest. *)
   let finish c ~total_len ~digest =
     let ev =
       if c.received <> total_len then Corrupt { conn = c.id; why = "missing blocks" }
@@ -187,10 +166,9 @@ module Mux = struct
 
   (* One protocol step for one connection: at most one message consumed.
      A transfer that fails authentication is reported once; the rest of
-     it (through its Transfer_done / Fin) is discarded silently so one
-     corrupt block yields one error, not an error per remaining
-     message. *)
-  let step m c =
+     it (through its Transfer_done) is discarded silently so one corrupt
+     block yields one error, not an error per remaining message. *)
+  let step c =
     match Transport.recv c.ep with
     | None -> None
     | Some (Wire.Code_block _) when c.poisoned -> None
@@ -217,25 +195,6 @@ module Mux = struct
         let ev = finish c ~total_len ~digest in
         finish_transfer c.session;
         Some ev
-    | Some (Wire.Record { epoch; rn; ciphertext; tag }) -> begin
-        m.stats_records <- m.stats_records + 1;
-        let before = Record.epoch_updates c.reader in
-        let ev = Record.read c.reader ~epoch ~rn ~ciphertext ~tag in
-        m.stats_epoch_updates <- m.stats_epoch_updates + (Record.epoch_updates c.reader - before);
-        match ev with
-        | Record.Accept (Record.Stream { offset; data }) ->
-            store c ~offset data;
-            None
-        | Record.Accept (Record.Fin { total_len; digest }) -> Some (finish c ~total_len ~digest)
-        | Record.Accept Record.Key_update -> None
-        | Record.Corrupt why ->
-            reset c;
-            Some (Corrupt { conn = c.id; why })
-        | Record.Skip -> None
-        | Record.Recovered ->
-            reset c;
-            None
-      end
     | Some
         ((Wire.Peer_hello _ | Wire.Peer_quote _ | Wire.Verdict_push _ | Wire.Verdict_pull _
          | Wire.Checkpoint_gossip _) as msg) ->
@@ -246,7 +205,7 @@ module Mux = struct
     | Some _ -> None (* handshake traffic is not ours to interpret *)
 
   let poll m =
-    List.filter_map (fun id -> step m (Hashtbl.find m.conns id)) (connections m)
+    List.filter_map (fun id -> step (Hashtbl.find m.conns id)) (connections m)
 
   let pending m = Hashtbl.fold (fun _ c acc -> acc || Transport.pending c.ep) m.conns false
 

@@ -18,9 +18,6 @@ type t
 val create : key:string -> t
 (** [key] is the 32-byte AES-256 session key. *)
 
-val block_size : int
-(** One page, as EnGarde works at page granularity. *)
-
 val transfers : t -> int
 (** How many transfers have completed on this session — the counter
     mixed into the CTR nonce. *)
@@ -50,19 +47,6 @@ val payload_messages : t -> string -> Wire.t list
     followed by the [Transfer_done] trailer. Advances the transfer
     counter. *)
 
-(** {1 Streaming transfers} *)
-
-type streamer
-(** A persistent {!Record} writer for one connection: the first
-    transfer runs in epoch 0, every later transfer opens with a
-    [Key_update] ratchet. *)
-
-val streamer : key:string -> streamer
-
-val stream_messages : streamer -> string -> Wire.t list
-(** One streamed transfer as wire messages (ratchet prologue when this
-    is not the first transfer, then {!Record.payload_records}). *)
-
 (** Multiplexed server loop: the front door of the inspection service.
 
     One [mux] watches many client connections (one session key each),
@@ -72,10 +56,10 @@ val stream_messages : streamer -> string -> Wire.t list
     [Payload] events for the service's job queue; authentication
     failures surface as [Corrupt] (the connection's reassembly state is
     dropped, the connection itself stays usable). Connections are
-    persistent: after a [Transfer_done] the client may stream another
-    payload on the same session. Each connection accepts both legacy
-    [Code_block] transfers and streaming [Record] transfers on the same
-    key. *)
+    persistent: after a [Transfer_done] the client may send another
+    payload on the same session. A connection accepts [Code_block]
+    transfers ({!payload_messages}); like handshake traffic, streaming
+    [Record]s are not its to interpret and are dropped. *)
 module Mux : sig
   type event =
     | Payload of { conn : string; payload : string }
@@ -98,12 +82,6 @@ module Mux : sig
 
   val connections : mux -> string list
   (** Ids in attach order — the round-robin order [poll] uses. *)
-
-  val records_received : mux -> int
-  (** Streaming records consumed across all connections. *)
-
-  val epoch_updates : mux -> int
-  (** Key-epoch ratchets observed across all connections. *)
 
   val poll : mux -> event list
   (** One round-robin sweep: at most one message consumed per

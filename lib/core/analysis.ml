@@ -155,20 +155,6 @@ let build perf (b : Disasm.buffer) symbols =
   t.build_cycles <- Sgx.Perf.total_cycles perf - before;
   t
 
-let function_of_addr t addr =
-  let fns = t.functions in
-  let rec go lo hi =
-    if lo >= hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let f = fns.(mid) in
-      if f.fn_addr = addr then Some f
-      else if f.fn_addr < addr then go (mid + 1) hi
-      else go lo mid
-    end
-  in
-  go 0 (Array.length fns)
-
 (* Greatest table whose lo <= addr, then a bounds check: the ranges are
    sorted and non-overlapping, so one binary search decides. *)
 let in_table t addr =
@@ -189,24 +175,24 @@ let in_table t addr =
   in
   go 0 n
 
-(* Greatest function whose start is <= addr, then a bounds check
-   against its exclusive end. *)
-let function_containing t addr =
-  let fns = t.functions in
-  let n = Array.length fns in
+(* The index of the greatest function whose start is <= addr, or -1. *)
+let last_start_at_or_below (fns : func array) addr =
   let rec go lo hi =
-    if lo >= hi then
-      if lo > 0 then begin
-        let f = fns.(lo - 1) in
-        if addr >= f.fn_addr && addr < f.fn_end then Some f else None
-      end
-      else None
+    if lo >= hi then lo - 1
     else begin
       let mid = (lo + hi) / 2 in
       if fns.(mid).fn_addr <= addr then go (mid + 1) hi else go lo mid
     end
   in
-  go 0 n
+  go 0 (Array.length fns)
+
+let function_containing fns addr =
+  let k = last_start_at_or_below fns addr in
+  if k >= 0 && addr < fns.(k).fn_end then Some k else None
+
+let function_at fns addr =
+  let k = last_start_at_or_below fns addr in
+  if k >= 0 && fns.(k).fn_addr = addr then Some k else None
 
 (* Smallest branch target >= lo, then one compare against hi. *)
 let branch_target_within t ~lo ~hi =

@@ -88,12 +88,16 @@ val is_padding : X86.Insn.t -> bool
     ({!Cfg.build}), and the lint policy so all three agree on what
     counts as toolchain fill. *)
 
-val function_of_addr : t -> int -> func option
-(** The function whose start address is exactly [addr]. *)
+val function_containing : func array -> int -> int option
+(** The index of the function whose [fn_addr, fn_end) range contains
+    [addr] in an address-ordered table such as {!field-functions}: a
+    binary search for the greatest start [<= addr], then a check against
+    its exclusive end. The call graph, the policy VM and the IFCC policy
+    all ask this one search; it charges nothing. *)
 
-val function_containing : t -> int -> func option
-(** Binary search for the function whose [fn_addr, fn_end) range
-    contains [addr]. *)
+val function_at : func array -> int -> int option
+(** The index of the function that starts exactly at [addr]: the same
+    search, then a check of the start. Charges nothing. *)
 
 val branch_target_within : t -> lo:int -> hi:int -> bool
 (** Is any direct-branch target in the half-open vaddr range

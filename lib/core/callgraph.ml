@@ -46,33 +46,6 @@ let kind_to_string = function
   | Tail -> "tail"
   | Jump_into -> "jump-into"
 
-(* Binary searches over the address-ordered function table. *)
-let idx_of_addr (fns : Analysis.func array) addr =
-  let rec go l h =
-    if l >= h then None
-    else begin
-      let mid = (l + h) / 2 in
-      let fa = fns.(mid).Analysis.fn_addr in
-      if fa = addr then Some mid else if fa < addr then go (mid + 1) h else go l mid
-    end
-  in
-  go 0 (Array.length fns)
-
-let idx_containing (fns : Analysis.func array) addr =
-  let rec go l h =
-    if l >= h then if l > 0 then Some (l - 1) else None
-    else begin
-      let mid = (l + h) / 2 in
-      if fns.(mid).Analysis.fn_addr <= addr then go (mid + 1) h else go l mid
-    end
-  in
-  match go 0 (Array.length fns) with
-  | Some k when addr >= fns.(k).Analysis.fn_addr && addr < fns.(k).Analysis.fn_end
-    -> Some k
-  | _ -> None
-
-let function_index t ~addr = idx_of_addr t.index.Analysis.functions addr
-
 (* The order of every edge listing. *)
 let compare_edges a b =
   let c = compare a.e_from b.e_from in
@@ -118,10 +91,10 @@ let build perf (index : Analysis.t) =
   (* Direct edges: classified call sites whose target is a function start. *)
   Array.iter
     (fun (dc : Analysis.direct_call) ->
-      match idx_containing fns dc.Analysis.dc_addr with
+      match Analysis.function_containing fns dc.Analysis.dc_addr with
       | None -> ()
       | Some from -> (
-          match idx_of_addr fns dc.Analysis.dc_target with
+          match Analysis.function_at fns dc.Analysis.dc_target with
           | Some tgt -> add_edge from tgt Direct dc.Analysis.dc_addr dc.Analysis.dc_target
           | None -> ()))
     index.Analysis.direct_calls;
@@ -143,7 +116,7 @@ let build perf (index : Analysis.t) =
     else
       Array.to_list index.Analysis.indirect_calls
       |> List.filter_map (fun (ic : Analysis.indirect_call) ->
-             match idx_containing fns ic.Analysis.ic_addr with
+             match Analysis.function_containing fns ic.Analysis.ic_addr with
              | None -> None
              | Some from ->
                  charge (n_members * Costmodel.callgraph_edge);
@@ -163,7 +136,7 @@ let build perf (index : Analysis.t) =
             | Some target
               when target < f.Analysis.fn_addr || target >= f.Analysis.fn_end
               -> (
-                match idx_containing fns target with
+                match Analysis.function_containing fns target with
                 | Some tgt ->
                     let k =
                       if target = fns.(tgt).Analysis.fn_addr then Tail

@@ -83,10 +83,6 @@ val build : Sgx.Perf.t -> Analysis.t -> t
     so the components, their numbering, [bottom_up], [recursive] and
     every charge are those of the materialized graph. Never raises. *)
 
-val function_index : t -> addr:int -> int option
-(** Index into [Analysis.functions] of the function starting exactly at
-    [addr] (binary search). *)
-
 val edges_from : t -> int -> edge list
 (** Outgoing edges of a function index, by [(e_addr, e_target)]: an
     indirect site lists one edge per table member, in ascending order.

@@ -40,6 +40,19 @@ let terminates (i : Insn.t) =
   | Insn.JMP | Insn.JMP_IND | Insn.RET | Insn.UD2 -> true
   | _ -> false
 
+(* The block holding entry index [i]: the greatest block whose [b_lo]
+   is <= i, then a check against its exclusive [b_hi]. *)
+let block_in blocks i =
+  let rec go l h =
+    if l >= h then l - 1
+    else begin
+      let mid = (l + h) / 2 in
+      if blocks.(mid).b_lo <= i then go (mid + 1) h else go l mid
+    end
+  in
+  let k = go 0 (Array.length blocks) in
+  if k >= 0 && i < blocks.(k).b_hi then Some k else None
+
 let build perf (a : Analysis.t) (fn : Analysis.func) =
   match fn.Analysis.fn_slice with
   | None -> None
@@ -96,19 +109,6 @@ let build perf (a : Analysis.t) (fn : Analysis.func) =
                 b_padding = !padding;
               })
         in
-        let block_of_index i =
-          (* Greatest block whose b_lo <= i. *)
-          let rec go l h =
-            if l >= h then if l > 0 then Some (l - 1) else None
-            else begin
-              let mid = (l + h) / 2 in
-              if blocks.(mid).b_lo <= i then go (mid + 1) h else go l mid
-            end
-          in
-          match go 0 nb with
-          | Some k when i < blocks.(k).b_hi -> Some k
-          | _ -> None
-        in
         (* Edge pass. *)
         let n_edges = ref 0 in
         let add_edge k k' =
@@ -128,7 +128,7 @@ let build perf (a : Analysis.t) (fn : Analysis.func) =
                 let target = last.Disasm.addr + last.Disasm.len + rel in
                 match Disasm.index_of_addr a.Analysis.buffer target with
                 | Some j when j >= lo && j < hi -> (
-                    match block_of_index j with
+                    match block_in blocks j with
                     | Some k' -> add_edge k k'
                     | None -> ())
                 | _ -> ())
@@ -199,19 +199,7 @@ let build perf (a : Analysis.t) (fn : Analysis.func) =
           }
       end
 
-let block_of_index t i =
-  let blocks = t.blocks in
-  let nb = Array.length blocks in
-  let rec go l h =
-    if l >= h then if l > 0 then Some (l - 1) else None
-    else begin
-      let mid = (l + h) / 2 in
-      if blocks.(mid).b_lo <= i then go (mid + 1) h else go l mid
-    end
-  in
-  match go 0 nb with
-  | Some k when i >= blocks.(k).b_lo && i < blocks.(k).b_hi -> Some k
-  | _ -> None
+let block_of_index t i = block_in t.blocks i
 
 let dominates t a b =
   let nb = Array.length t.blocks in

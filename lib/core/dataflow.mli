@@ -69,10 +69,6 @@ module Regs : sig
   (** Functional update — for summary-based call transfers that refine
       a post-call state register by register. *)
 
-  val all_top : t
-  (** Every register [Top] — the entry fact, and the conservative
-      post-call state. *)
-
   val problem : t problem
   (** Entry fact: every register [Top]. Transfer recognizes the IFCC
       shapes ([lea %rip], 32-bit [sub], [and $imm], [add], reg-reg

@@ -11,7 +11,6 @@ let index_of_addr b addr = X86.Decoder.index_of_addr b.entries addr
 
 let code_length = X86.Decoder.src_length
 
-let code_get (X86.Decoder.Big b) i = Elf64.Buf.Big.get b i
 let code_sub (X86.Decoder.Big b) ~pos ~len = Elf64.Buf.Big.sub_string b ~pos ~len
 
 let bytes_between b ~lo ~hi =

@@ -32,7 +32,6 @@ val index_of_addr : buffer -> int -> int option
     binary search over [entries] ({!X86.Decoder.index_of_addr}). *)
 
 val code_length : X86.Decoder.src -> int
-val code_get : X86.Decoder.src -> int -> char
 
 val bytes_between : buffer -> lo:int -> hi:int -> string
 (** Raw code bytes for the vaddr range [lo, hi). *)

@@ -1,21 +1,7 @@
 open X86
 
-(* A store to a stack slot: mov %reg, disp(%rsp|%rbp). *)
-let stack_store (i : Insn.t) =
-  match (i.Insn.mnem, i.Insn.ops) with
-  | Insn.MOV, [ Insn.Reg (_, src); Insn.Mem (_, m) ] -> begin
-      match m.Insn.base with
-      | Some b when (Reg.equal b Reg.RSP || Reg.equal b Reg.RBP) && not m.Insn.seg_fs ->
-          Some src
-      | Some _ | None -> None
-    end
-  | _ -> None
-
-let canary_load_into r (i : Insn.t) =
-  match (i.Insn.mnem, i.Insn.ops) with
-  | Insn.MOV, [ Insn.Mem (_, m); Insn.Reg (_, dst) ] ->
-      m.Insn.seg_fs && m.Insn.disp = 0x28 && m.Insn.base = None && Reg.equal dst r
-  | _ -> false
+let canary_load_into r i =
+  match Insn.canary_load i with Some dst -> Reg.equal dst r | None -> false
 
 (* Is the last operand register r? *)
 let rec last_is r = function

@@ -11,26 +11,13 @@
     All predicates are pure and charge nothing; callers own the cost
     accounting. *)
 
-val stack_store : X86.Insn.t -> X86.Reg.t option
-(** [mov %reg, disp(%rsp|%rbp)] (non-fs): the stored source register. *)
-
 val canary_load_into : X86.Reg.t -> X86.Insn.t -> bool
-(** [mov %fs:0x28, %r]: the canary load into exactly register [r]. *)
+(** [mov %fs:0x28, %r]: the canary load ({!X86.Insn.canary_load}) into
+    exactly register [r]. *)
 
 val defines : X86.Reg.t -> X86.Insn.t -> bool
 (** Does the instruction (re)define register [r]? Destination is the
     last operand under the AT&T convention the IR uses. *)
-
-val cmp_rsp_reg : X86.Insn.t -> X86.Reg.t option
-(** [cmp (%rsp), %r] (disp 0, non-fs): the compared register. *)
-
-val prev_non_pad : Disasm.entry array -> int -> int -> int option
-(** [prev_non_pad entries i lo]: nearest non-padding entry index below
-    [i], not below [lo]. *)
-
-val next_non_pad : Disasm.entry array -> int -> int -> int option
-(** [next_non_pad entries i hi]: nearest non-padding entry index above
-    [i], strictly below [hi]. *)
 
 val canary_check_site :
   Disasm.buffer -> Symhash.t -> lo:int -> hi:int -> int -> int option

@@ -104,10 +104,10 @@ let make ?(mode = `Flow) ?(depth = `Intra) () =
        just before the call decides. *)
     let flow_verdict (ic : Analysis.indirect_call) fallback =
       let addr = ic.Analysis.ic_addr in
-      match Analysis.function_containing idx addr with
+      match Analysis.function_containing idx.Analysis.functions addr with
       | None -> ( match fallback with `Bad f -> note f | `Matched _ -> ())
-      | Some fn -> (
-          match solution_for fn with
+      | Some fi -> (
+          match solution_for idx.Analysis.functions.(fi) with
           | None -> ( match fallback with `Bad f -> note f | `Matched _ -> ())
           | Some (cfg, sol) -> (
               match
@@ -163,10 +163,11 @@ let make ?(mode = `Flow) ?(depth = `Intra) () =
                   &&
                   (* a window may not straddle a function boundary *)
                   (match
-                     ( Analysis.function_containing idx seq_start,
-                       Analysis.function_containing idx ic.Analysis.ic_addr )
+                     ( Analysis.function_containing idx.Analysis.functions seq_start,
+                       Analysis.function_containing idx.Analysis.functions
+                         ic.Analysis.ic_addr )
                    with
-                  | Some f1, Some f2 -> f1.Analysis.fn_addr = f2.Analysis.fn_addr
+                  | Some f1, Some f2 -> f1 = f2
                   | _ -> false)
             in
             let before = !findings in
@@ -181,25 +182,22 @@ let make ?(mode = `Flow) ?(depth = `Intra) () =
             | `Interproc ->
                 if !findings == before then begin
                   Sgx.Perf.count_cycles perf Costmodel.range_probe;
-                  match Analysis.function_containing idx ic.Analysis.ic_addr with
+                  match
+                    Analysis.function_containing idx.Analysis.functions
+                      ic.Analysis.ic_addr
+                  with
                   | None -> ()
-                  | Some fn -> (
-                      let g = Policy.callgraph_of ctx in
-                      match
-                        Callgraph.function_index g ~addr:fn.Analysis.fn_addr
-                      with
-                      | None -> ()
-                      | Some fi -> (
-                          match Callgraph.jump_into g fi with
-                          | [] -> ()
-                          | e :: _ ->
-                              note' ~addr:ic.Analysis.ic_addr
-                                ~code:"ifcc-unmasked-interproc"
-                                (Printf.sprintf
-                                   "indirect call at 0x%x sits in a function \
-                                    entered mid-body by the jump at 0x%x: its \
-                                    masking proof does not hold"
-                                   ic.Analysis.ic_addr e.Callgraph.e_addr)))
+                  | Some fi -> (
+                      match Callgraph.jump_into (Policy.callgraph_of ctx) fi with
+                      | [] -> ()
+                      | e :: _ ->
+                          note' ~addr:ic.Analysis.ic_addr
+                            ~code:"ifcc-unmasked-interproc"
+                            (Printf.sprintf
+                               "indirect call at 0x%x sits in a function \
+                                entered mid-body by the jump at 0x%x: its \
+                                masking proof does not hold"
+                               ic.Analysis.ic_addr e.Callgraph.e_addr))
                 end))
       idx.Analysis.indirect_calls;
     Array.iter

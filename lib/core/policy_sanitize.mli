@@ -26,9 +26,6 @@
     instructions. Binaries with no entry-named functions — including
     all seven paper evaluation workloads — are vacuously compliant. *)
 
-val name : string
-(** ["sanitize"] *)
-
 val is_entry_name : string -> bool
 (** The interface naming convention shared with the DSL transcription's
     [P_fn_is_entry] primitive. *)

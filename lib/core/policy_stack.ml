@@ -2,9 +2,9 @@ open X86
 
 let name = "stack-protection"
 
-(* Instruction-shape recognizers live in {!Patterns}, shared with the
-   policy VM's primitives. *)
-let stack_store = Patterns.stack_store
+(* Instruction-shape recognizers live in {!X86.Insn} and {!Patterns},
+   shared with the policy VM's primitives. *)
+let stack_store = Insn.stack_store
 let canary_load_into = Patterns.canary_load_into
 let defines = Patterns.defines
 
@@ -138,8 +138,9 @@ let make ?(exempt = []) ?(mode = `Flow) ?(depth = `Intra) () =
                           | `Interproc -> (
                               let g = Policy.callgraph_of ctx in
                               match
-                                Callgraph.function_index g
-                                  ~addr:f.Analysis.fn_addr
+                                Analysis.function_at
+                                  ctx.Policy.index.Analysis.functions
+                                  f.Analysis.fn_addr
                               with
                               | None -> []
                               | Some fi ->

@@ -73,6 +73,14 @@ let rejection_to_string = function
       "policy violations: " ^ String.concat "; " bad
   | Load_failed why -> "loading failed: " ^ why
 
+let verdict_of_result = function
+  | Ok (loaded : Loader.loaded) ->
+      ( true,
+        Printf.sprintf "policy-compliant; %d executable pages, %d relocations"
+          (List.length loaded.Loader.exec_pages)
+          loaded.Loader.relocations_applied )
+  | Error r -> (false, rejection_to_string r)
+
 type channel = [ `Legacy | `Streaming ]
 
 type channel_stats = {
@@ -133,27 +141,38 @@ let make_plan c =
   in
   Array.of_list (bootstrap @ heap @ image)
 
+(* A process-wide memo under one lock. A miss builds its value under
+   the lock, so a racing first pipeline waits for it rather than
+   building a duplicate. With a [cap], the table empties itself when it
+   holds [cap] values. *)
+type ('k, 'v) memo = { table : ('k, 'v) Hashtbl.t; lock : Mutex.t; cap : int option }
+
+let memo cap = { table = Hashtbl.create 4; lock = Mutex.create (); cap }
+
+let memoized m key build =
+  Mutex.protect m.lock (fun () ->
+      match Hashtbl.find_opt m.table key with
+      | Some v -> v
+      | None ->
+          (match m.cap with
+          | Some cap when Hashtbl.length m.table >= cap -> Hashtbl.reset m.table
+          | _ -> ());
+          let v = build () in
+          Hashtbl.replace m.table key v;
+          v)
+
 (* One plan per layout, shared by every pipeline in the process: it
    holds the bootstrap pages, so a job pays no DRBG, and its pages are
    physically the strings the page memo remembered, so each lookup
-   matches without comparing bytes. Plans are immutable. As with the
-   platform memo below, a plan is built under the lock, once per
-   layout. Emptied when it holds [plan_cap] plans. *)
+   matches without comparing bytes. Plans are immutable. Emptied when it
+   holds [plan_cap] plans. *)
 let plan_cap = 16
-let plan_memo : (string list * int * int * int, (int * Sgx.Enclave.perm * string) array) Hashtbl.t =
-  Hashtbl.create 4
-let plan_memo_lock = Mutex.create ()
+let plan_memo = memo (Some plan_cap)
 
 let build_plan c =
-  let key = (c.policy_names, c.bootstrap_pages, c.heap_pages, c.image_pages) in
-  Mutex.protect plan_memo_lock (fun () ->
-      match Hashtbl.find_opt plan_memo key with
-      | Some p -> p
-      | None ->
-          if Hashtbl.length plan_memo >= plan_cap then Hashtbl.reset plan_memo;
-          let p = make_plan c in
-          Hashtbl.replace plan_memo key p;
-          p)
+  memoized plan_memo
+    (c.policy_names, c.bootstrap_pages, c.heap_pages, c.image_pages)
+    (fun () -> make_plan c)
 
 (* The replay walks the plan through the measurement's page memo, so
    a process hashes each distinct page once and a warm replay costs a
@@ -174,20 +193,12 @@ let expected_measurement c =
    inspection. [run] reads only the device's quoting key and seal
    secret, never its monotonic counters, so pipelines on one seed can
    share it. Unlike a page memo miss, the key is generated under the
-   lock: a racing first pipeline waits for it rather than generating a
-   duplicate. *)
-let platform_memo : (string, Sgx.Quote.device) Hashtbl.t = Hashtbl.create 4
-let platform_memo_lock = Mutex.create ()
+   lock. The table is never emptied. *)
+let platform_memo = memo None
 
 let platform c =
   let seed = c.seed ^ "/device" in
-  Mutex.protect platform_memo_lock (fun () ->
-      match Hashtbl.find_opt platform_memo seed with
-      | Some d -> d
-      | None ->
-          let d = Sgx.Quote.device_create ~seed in
-          Hashtbl.replace platform_memo seed d;
-          d)
+  memoized platform_memo seed (fun () -> Sgx.Quote.device_create ~seed)
 
 (* The enclave's RSA keypair, one per (seed, measurement, modulus size)
    per process: its DRBG is seeded from [c.seed ^ measurement], so a
@@ -196,24 +207,17 @@ let platform c =
    just allocated, never into its arguments, so pipelines in any domain
    can share a key. As with the platform memo, the key is generated
    under the lock. Emptied when it holds [plan_cap] keys. *)
-let keypair_memo : (string * string * int, Crypto.Rsa.keypair) Hashtbl.t = Hashtbl.create 4
-let keypair_memo_lock = Mutex.create ()
+let keypair_memo = memo (Some plan_cap)
 
 let enclave_keypair c ~measurement =
-  let key = (c.seed, measurement, c.rsa_bits) in
-  Mutex.protect keypair_memo_lock (fun () ->
-      match Hashtbl.find_opt keypair_memo key with
-      | Some k -> k
-      | None ->
-          if Hashtbl.length keypair_memo >= plan_cap then Hashtbl.reset keypair_memo;
-          let drbg =
-            Crypto.Drbg.create ~personalization:"engarde-enclave" (c.seed ^ measurement)
-          in
-          let k = Crypto.Rsa.generate drbg ~bits:c.rsa_bits in
-          Hashtbl.replace keypair_memo key k;
-          k)
+  memoized keypair_memo (c.seed, measurement, c.rsa_bits) (fun () ->
+      let drbg =
+        Crypto.Drbg.create ~personalization:"engarde-enclave" (c.seed ^ measurement)
+      in
+      Crypto.Rsa.generate drbg ~bits:c.rsa_bits)
 
-let keypairs_memoized () = Mutex.protect keypair_memo_lock (fun () -> Hashtbl.length keypair_memo)
+let keypairs_memoized () =
+  Mutex.protect keypair_memo.lock (fun () -> Hashtbl.length keypair_memo.table)
 
 let build_enclave c epc perf =
   let enclave = Sgx.Enclave.ecreate epc ~perf ~base:enclave_base ~size:enclave_size () in
@@ -626,15 +630,7 @@ let run ?tamper ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
      measurement, the policy set and the ticket epoch still match --- *)
   let respond s result =
     Sgx.Enclave.eexit enclave;
-    let accepted, detail =
-      match result with
-      | Ok loaded ->
-          ( true,
-            Printf.sprintf "policy-compliant; %d executable pages, %d relocations"
-              (List.length loaded.Loader.exec_pages)
-              loaded.Loader.relocations_applied )
-      | Error r -> (false, rejection_to_string r)
-    in
+    let accepted, detail = verdict_of_result result in
     Channel.Transport.send enclave_ep (Channel.Wire.Verdict { accepted; detail });
     if accepted && channel = `Streaming then begin
       let blob =

@@ -53,6 +53,12 @@ type rejection =
 
 val rejection_to_string : rejection -> string
 
+val verdict_of_result : (Loader.loaded, rejection) result -> bool * string
+(** The verdict the enclave sends for a pipeline result: accepted, with
+    ["policy-compliant; N executable pages, M relocations"], or refused
+    with {!rejection_to_string}. The service's cached verdicts carry the
+    same text. *)
+
 val examine : Report.t -> string -> (Elf64.Reader.t * Policy.context, rejection) result
 (** The inspector's front half, exactly as {!run} judges a staged file:
     parse and validate the header, reject a stripped binary, reject
@@ -156,7 +162,6 @@ val keypairs_memoized : unit -> int
     own. *)
 module Ticket : sig
   val blob_len : int
-  val secret_len : int
 
   val seal :
     Sgx.Quote.device ->

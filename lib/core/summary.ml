@@ -83,12 +83,6 @@ let call_target (e : Disasm.entry) =
   | Insn.CALL, [ Insn.Rel d ] -> Some (e.Disasm.addr + e.Disasm.len + d)
   | _ -> None
 
-let is_canary_load (i : Insn.t) =
-  match (i.Insn.mnem, i.Insn.ops) with
-  | Insn.MOV, [ Insn.Mem (_, m); Insn.Reg (_, _) ] ->
-      m.Insn.seg_fs && m.Insn.disp = 0x28
-  | _ -> false
-
 let effective_reads ~callee (e : Disasm.entry) =
   match e.Disasm.insn.Insn.mnem with
   | Insn.CALL -> (
@@ -185,7 +179,7 @@ let rec compute store perf (analysis : Analysis.t) ~cfg ~callgraph
                     | None -> clobbers := all_state)
                 | Insn.CALL_IND -> clobbers := all_state
                 | _ -> clobbers := !clobbers lor defines_of_insn insn);
-                if is_canary_load insn then canary := true;
+                if Insn.canary_load insn <> None then canary := true;
                 if insn.Insn.mnem = Insn.RET then begin
                   returns := true;
                   ret_indices := i :: !ret_indices;
@@ -261,7 +255,7 @@ let rec compute store perf (analysis : Analysis.t) ~cfg ~callgraph
 
 and get store perf analysis ~cfg ~callgraph ~addr =
   Sgx.Perf.count_cycles perf Costmodel.summary_memo_lookup;
-  match Callgraph.function_index callgraph ~addr with
+  match Analysis.function_at callgraph.Callgraph.index.Analysis.functions addr with
   | None -> None
   | Some fi -> (
       match Hashtbl.find_opt store.memo addr with

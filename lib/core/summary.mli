@@ -45,10 +45,6 @@ type t = {
           function, an indirect jump, or a fall-through off the slice *)
 }
 
-val conservative : t
-(** Knows nothing: reads and clobbers everything, defines nothing,
-    establishes nothing, may return. *)
-
 val flags_bit : int
 (** Bit index of the flags register in the state masks (the GPRs own
     bits 0–15 by {!X86.Reg.number}). *)
@@ -61,19 +57,6 @@ val sanitize_mask : int
     registers [%rdi %rsi %rdx %rcx %r8 %r9] plus flags — the state a
     hostile host controls at enclave entry. [%rsp]/[%rbp] are exempt
     (the loader owns them). *)
-
-val reads_of_insn : X86.Insn.t -> int
-(** State the instruction consumes: source operands, read-modify-write
-    destinations, addressing registers, flags at [jcc]. The
-    [xor %r, %r] zeroing idiom reads nothing. *)
-
-val defines_of_insn : X86.Insn.t -> int
-(** State the instruction fully (re)defines: destination registers,
-    flags for the ALU vocabulary. Calls report nothing here — callers
-    apply the callee summary instead. *)
-
-val call_target : Disasm.entry -> int option
-(** Computed [callq rel32] target vaddr. *)
 
 type store
 (** The per-analysis summary memo (function start vaddr -> {!t}). *)

@@ -7,7 +7,6 @@
 
 type t
 
-val zero : t
 val one : t
 val two : t
 
@@ -35,8 +34,6 @@ val is_odd : t -> bool
 val bit_length : t -> int
 (** Position of the highest set bit plus one; 0 for zero. *)
 
-val testbit : t -> int -> bool
-
 val add : t -> t -> t
 val sub : t -> t -> t
 (** @raise Invalid_argument if the result would be negative. *)
@@ -61,10 +58,6 @@ val modpow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation. Uses Montgomery multiplication when the
     modulus is odd (the RSA case); falls back to divide-and-reduce
     square-and-multiply otherwise. *)
-
-val random_bits : (int -> string) -> int -> t
-(** [random_bits rand n] draws an n-bit value ([rand k] must return [k]
-    uniformly random bytes). The top bit is not forced. *)
 
 val is_probable_prime : (int -> string) -> t -> bool
 (** Trial division by small primes, then 20 Miller–Rabin rounds with

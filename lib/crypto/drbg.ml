@@ -16,8 +16,6 @@ let create ?(personalization = "") seed =
   update t (seed ^ personalization);
   t
 
-let reseed t entropy = update t entropy
-
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate";
   let buf = Buffer.create n in
@@ -47,8 +45,6 @@ let uniform t n =
     in
     draw ()
   end
-
-let bool t = byte t land 1 = 1
 
 let split t label =
   let seed = generate t 32 in

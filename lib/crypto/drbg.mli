@@ -12,16 +12,12 @@ val create : ?personalization:string -> string -> t
 val generate : t -> int -> string
 (** [generate t n] returns [n] pseudo-random bytes and advances state. *)
 
-val reseed : t -> string -> unit
-
 val byte : t -> int
 (** One byte as an int in [0, 255]. *)
 
 val uniform : t -> int -> int
 (** [uniform t n] draws uniformly from [0, n-1] (rejection sampling).
     @raise Invalid_argument if [n <= 0]. *)
-
-val bool : t -> bool
 
 val split : t -> string -> t
 (** [split t label] forks an independent child generator; the parent

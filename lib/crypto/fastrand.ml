@@ -20,7 +20,6 @@ let seed_of_bytes s =
   !v
 
 let create s = { state = seed_of_bytes s }
-let of_drbg drbg = { state = seed_of_bytes (Drbg.generate drbg 16) }
 
 let uniform t n =
   if n <= 0 then invalid_arg "Fastrand.uniform";

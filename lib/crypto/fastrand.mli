@@ -8,12 +8,8 @@ type t
 val create : string -> t
 (** Seed from arbitrary bytes (hashed down to 64 bits). *)
 
-val of_drbg : Drbg.t -> t
-(** Draw a 64-bit seed from the DRBG (advances it). *)
-
 val uniform : t -> int -> int
 (** [uniform t n] in [0, n-1].
     @raise Invalid_argument if [n <= 0]. *)
 
 val bool : t -> bool
-val bits64 : t -> int64

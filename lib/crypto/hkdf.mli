@@ -2,9 +2,6 @@
     schedule the streaming record layer derives its traffic keys from.
     Verified against the RFC 5869 test vectors in [test_crypto.ml]. *)
 
-val hash_len : int
-(** 32 — SHA-256 output length. *)
-
 val extract : salt:string -> string -> string
 (** [extract ~salt ikm] is the 32-byte pseudorandom key
     [HMAC-SHA256(salt, ikm)]. *)

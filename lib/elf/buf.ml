@@ -27,13 +27,6 @@ module W = struct
     zeros t (off - cur)
 
   let contents = Buffer.contents
-
-  let patch_u32 t ~pos v =
-    let s = Buffer.contents t in
-    let b = Bytes.of_string s in
-    for i = 0 to 3 do Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff)) done;
-    Buffer.clear t;
-    Buffer.add_bytes t b
 end
 
 module R = struct

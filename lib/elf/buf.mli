@@ -21,8 +21,6 @@ module W : sig
 
   val contents : t -> string
 
-  val patch_u32 : t -> pos:int -> int -> unit
-  (** Overwrite a previously written 32-bit field. *)
 end
 
 module R : sig

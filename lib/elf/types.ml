@@ -30,7 +30,6 @@ let shf_write = 1
 let shf_alloc = 2
 let shf_execinstr = 4
 
-let stt_notype = 0
 let stt_func = 2
 let stt_object = 1
 let stb_global = 1

@@ -47,7 +47,6 @@ val shf_execinstr : int
 
 (** Symbol table *)
 
-val stt_notype : int
 val stt_func : int
 val stt_object : int
 val stb_global : int

@@ -39,7 +39,6 @@ let u32le v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
 
 let manifest t = t.fleet_manifest
 let node t i = t.slots.(i).node
-let nodes t = Array.length t.slots
 
 let live t i =
   let s = t.slots.(i) in

@@ -46,7 +46,6 @@ val create : config -> t
 
 val manifest : t -> Manifest.t
 val node : t -> int -> Node.t
-val nodes : t -> int
 
 val route : t -> Service.Scheduler.job -> int
 (** The rendezvous choice (after spillover) among live nodes. *)
@@ -56,23 +55,10 @@ val submit : t -> ?node:int -> Service.Scheduler.job -> (int * int, string) resu
     else to {!route}'s choice. Returns (node, sequence number on that
     node) or the admission rejection. *)
 
-val pump : t -> int
-(** One round: pump every live node, track progress, quarantine
-    unresponsive nodes and resubmit their in-flight jobs. Returns the
-    number of completions collected this round. *)
-
 val run_until_idle : ?max_rounds:int -> t -> (int * Service.Scheduler.completion) list
 (** Pump until no live node holds work and no peer traffic is pending,
     then return (and clear) all accumulated (node, completion) pairs in
     collection order. Raises [Failure] if [max_rounds] is exhausted. *)
-
-val completions : t -> (int * Service.Scheduler.completion) list
-(** Accumulated (node, completion) pairs since the last drain, oldest
-    first; clears the buffer. *)
-
-val quarantine : t -> int -> why:string -> unit
-(** Quarantine a node by hand: peers drop it, routing skips it, its
-    in-flight jobs are resubmitted to survivors. *)
 
 val quarantined : t -> (int * string) list
 (** Quarantined nodes and why, oldest first. *)

@@ -38,7 +38,6 @@ let build ~nodes ~service_measurement =
 
 let members t = t.members
 let aux t = t.aux
-let service_measurement t = t.service_measurement
 
 let pre_aux_snapshot t i =
   if i < 0 || i >= t.members then invalid_arg "Fleet.Manifest.pre_aux_snapshot: bad index";

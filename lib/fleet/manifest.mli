@@ -38,8 +38,6 @@ val members : t -> int
 val aux : t -> string
 (** The EGMAGE1 auxiliary record every member measured. *)
 
-val service_measurement : t -> string
-
 val pre_aux_snapshot : t -> int -> string
 (** Node [i]'s pre-aux measurement-log snapshot (raises on bad index). *)
 

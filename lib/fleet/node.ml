@@ -69,8 +69,6 @@ let create ~manifest ~id ~device ~peer_publics ~nonce_seed (cfg : Scheduler.conf
     nonce_counter = 0;
   }
 
-let id t = t.node_id
-let identity t = t.identity
 let scheduler t = t.sched
 let mux t = t.mux
 

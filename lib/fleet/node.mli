@@ -55,8 +55,6 @@ val create :
     [audit = true] — inclusion proofs require the log — and raises
     otherwise. *)
 
-val id : t -> int
-val identity : t -> string
 val scheduler : t -> Service.Scheduler.t
 val mux : t -> Channel.Session.Mux.mux
 

@@ -17,9 +17,6 @@
     (table 0 of [stack]). *)
 
 val libc : db:(string * string) list -> Prog.t
-val stack : exempt:string list -> Prog.t
-val ifcc : unit -> Prog.t
-val lint : unit -> Prog.t
 
 val all : db:(string * string) list -> exempt:string list -> (string * Prog.t) list
 (** [(short-name, program)] in the canonical order [libc; stack; ifcc;

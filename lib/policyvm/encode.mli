@@ -11,15 +11,10 @@ val format_tag : string
 (** Blob magic, ["EGPVM1"]. Doubles as the DSL version tag folded into
     {!Cache.key}: bumping the format invalidates cached verdicts. *)
 
-val version : int
-
 val to_bytes : Prog.t -> string
 
 val decode : string -> (Prog.t, string) result
 (** Strict inverse of {!to_bytes}: [decode (to_bytes p) = Ok p], and
     every [Ok] result satisfies the {!Prog} static limits. *)
-
-val digest : Prog.t -> string
-(** SHA-256 (raw 32 bytes) of the canonical blob. *)
 
 val digest_hex : Prog.t -> string

@@ -83,26 +83,6 @@ let indirect_jump st i =
   let ijs = st.ctx.Policy.index.Analysis.indirect_jumps in
   if i < 0 || i >= Array.length ijs then stop (Bounds "indirect jump") else ijs.(i)
 
-(* [Analysis.function_containing], but yielding the function's index so
-   programs can feed it back into the CFG and dataflow primitives. *)
-let function_index_containing st addr =
-  let fns = st.ctx.Policy.index.Analysis.functions in
-  let n = Array.length fns in
-  let rec go lo hi =
-    if lo >= hi then
-      if lo > 0 then begin
-        let f = fns.(lo - 1) in
-        if addr >= f.Analysis.fn_addr && addr < f.Analysis.fn_end then Some (lo - 1)
-        else None
-      end
-      else None
-    else begin
-      let mid = (lo + hi) / 2 in
-      if fns.(mid).Analysis.fn_addr <= addr then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 n
-
 let cfg_of st fi =
   (* charged through [Policy.cfg_of]'s shared memo, exactly as the
      native flow-mode policies build their CFGs *)
@@ -216,7 +196,7 @@ let prim_eval st p (args : value list) =
   | P_stack_store ->
       vopt
         (Option.map (fun r -> VReg r)
-           (Patterns.stack_store (entry st (int_of (a1 ()))).Disasm.insn))
+           (X86.Insn.stack_store (entry st (int_of (a1 ()))).Disasm.insn))
   | P_canary_load_into ->
       let r, i = a2 () in
       vbool (Patterns.canary_load_into (reg_of r) (entry st (int_of i)).Disasm.insn)
@@ -255,7 +235,10 @@ let prim_eval st p (args : value list) =
            (fun (lo, hi) -> VPair (VInt lo, VInt hi))
            (func st (int_of (a1 ()))).Analysis.fn_slice)
   | P_function_containing ->
-      vopt (Option.map vint (function_index_containing st (int_of (a1 ()))))
+      vopt
+        (Option.map vint
+           (Analysis.function_containing st.ctx.Policy.index.Analysis.functions
+              (int_of (a1 ()))))
   | P_is_function_start ->
       vbool (Symhash.is_function_start st.ctx.Policy.symbols (int_of (a1 ())))
   | P_num_direct_calls ->

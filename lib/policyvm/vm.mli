@@ -31,17 +31,11 @@ type error =
   | Arity of string
   | Bad_format of string
 
-val error_to_string : error -> string
-
 type outcome = {
   verdict : (Policy.verdict, error) result;
   fuel_left : int;
   vm_nodes : int;  (** nodes evaluated = fuel spent *)
 }
-
-val default_fuel : Policy.context -> int
-(** {!Costmodel.vm_fuel_base} + per-entry scaling for the context's
-    buffer. *)
 
 val run :
   ?fuel:int ->

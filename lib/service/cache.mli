@@ -37,10 +37,6 @@ val encode_verdict : verdict -> string
 (** Serialize for storage/transmission; free-text fields are escaped so
     the form is line/tab-structured and round-trips exactly. *)
 
-val encode_findings : Engarde.Policy.finding list -> string
-(** The findings section of {!encode_verdict} alone — the canonical
-    form the audit log digests. *)
-
 val findings_digest : Engarde.Policy.finding list -> string
 (** SHA-256 of {!encode_findings} (32 raw bytes). *)
 

@@ -28,10 +28,6 @@ type phase_totals = {
   provisioning : int;  (** channel + crypto + enclave-build cycles *)
 }
 
-val latency_buckets : int array
-(** Upper bounds (modelled cycles) of the histogram buckets; an implicit
-    +Inf bucket follows the last entry. *)
-
 type t
 
 val create : unit -> t
@@ -104,8 +100,6 @@ type fleet_reject =
   | Quarantined  (** message from a quarantined or unattested peer *)
   | Malformed  (** peer message that does not decode *)
 
-val fleet_reject_to_string : fleet_reject -> string
-
 val fleet_pushed : t -> unit
 (** One [Verdict_push] sent to a peer. *)
 
@@ -114,7 +108,6 @@ val fleet_imported : t -> unit
     local cache. *)
 
 val fleet_rejected : t -> fleet_reject -> unit
-val fleet_rejections : t -> (fleet_reject * int) list
 
 val job_counts : t -> job_counts
 val phase_totals : t -> phase_totals

@@ -83,12 +83,27 @@ let parallel_config ?(config = default_config) ~domains () =
     },
     pool )
 
-let known_policies =
+(* The builtin registry: each name-addressable policy and the native
+   module it instantiates against the reference hash database. *)
+let builtins : (string * ((string * string) list -> Engarde.Policy.t)) list =
+  let exempt = Toolchain.Libc.function_names in
   [
-    "libc"; "stack"; "ifcc"; "lint"; "sanitize";
-    "stack-pattern"; "ifcc-pattern";
-    "stack-interproc"; "ifcc-interproc";
+    ("libc", fun db -> Engarde.Policy_libc.make ~db ());
+    ("stack", fun _ -> Engarde.Policy_stack.make ~exempt ());
+    ("ifcc", fun _ -> Engarde.Policy_ifcc.make ());
+    ("lint", fun _ -> Engarde.Policy_lint.make ());
+    ("sanitize", fun _ -> Engarde.Policy_sanitize.make ());
+    (* The paper's peephole baselines, kept addressable so clients can
+       request (and audit logs can distinguish) the unsound mode. *)
+    ("stack-pattern", fun _ -> Engarde.Policy_stack.make ~exempt ~mode:`Pattern ());
+    ("ifcc-pattern", fun _ -> Engarde.Policy_ifcc.make ~mode:`Pattern ());
+    (* The interprocedural tier: dominance and masking proofs carried
+       across call edges through function summaries. *)
+    ("stack-interproc", fun _ -> Engarde.Policy_stack.make ~exempt ~depth:`Interproc ());
+    ("ifcc-interproc", fun _ -> Engarde.Policy_ifcc.make ~depth:`Interproc ());
   ]
+
+let known_policies = List.map fst builtins
 
 (* Every builtin negotiates as an opaque native marker: the negotiated
    digest commits to the selection and the scheduler runs the native
@@ -113,35 +128,13 @@ let builtin_blobs ~db =
 let policies_of_names ~db names =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | "libc" :: rest -> go (Engarde.Policy_libc.make ~db () :: acc) rest
-    | "stack" :: rest ->
-        go (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names () :: acc) rest
-    | "ifcc" :: rest -> go (Engarde.Policy_ifcc.make () :: acc) rest
-    | "lint" :: rest -> go (Engarde.Policy_lint.make () :: acc) rest
-    | "sanitize" :: rest -> go (Engarde.Policy_sanitize.make () :: acc) rest
-    (* The interprocedural tier: dominance and masking proofs carried
-       across call edges through function summaries. *)
-    | "stack-interproc" :: rest ->
-        go
-          (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names
-             ~depth:`Interproc ()
-          :: acc)
-          rest
-    | "ifcc-interproc" :: rest ->
-        go (Engarde.Policy_ifcc.make ~depth:`Interproc () :: acc) rest
-    (* The paper's peephole baselines, kept addressable so clients can
-       request (and audit logs can distinguish) the unsound mode. *)
-    | "stack-pattern" :: rest ->
-        go
-          (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names
-             ~mode:`Pattern ()
-          :: acc)
-          rest
-    | "ifcc-pattern" :: rest -> go (Engarde.Policy_ifcc.make ~mode:`Pattern () :: acc) rest
-    | unknown :: _ ->
-        Error
-          (Printf.sprintf "unknown policy %S (expected one of: %s)" unknown
-             (String.concat ", " known_policies))
+    | name :: rest -> (
+        match List.assoc_opt name builtins with
+        | Some make -> go (make db :: acc) rest
+        | None ->
+            Error
+              (Printf.sprintf "unknown policy %S (expected one of: %s)" name
+                 (String.concat ", " known_policies)))
   in
   go [] names
 
@@ -406,15 +399,7 @@ let complete t a verdict ~cache_hit =
     :: t.completions
 
 let verdict_of_outcome (o : Engarde.Provision.outcome) ~disassembly ~policy ~loading =
-  let accepted, detail =
-    match o.Engarde.Provision.result with
-    | Ok loaded ->
-        ( true,
-          Printf.sprintf "policy-compliant; %d executable pages, %d relocations"
-            (List.length loaded.Engarde.Loader.exec_pages)
-            loaded.Engarde.Loader.relocations_applied )
-    | Error r -> (false, Engarde.Provision.rejection_to_string r)
-  in
+  let accepted, detail = Engarde.Provision.verdict_of_result o.Engarde.Provision.result in
   {
     Cache.accepted;
     detail;

@@ -121,10 +121,7 @@ val known_policies : string list
     summary-driven "stack-interproc" / "ifcc-interproc" depth variants.
     Every builtin runs as its native module and negotiates as an
     ["EGNATIVE1"] marker; the libc marker also carries the SHA-256 of
-    the reference hash database, so [libc_db] is part of its digest.
-    (The library also ships a [Policy_malware] module, but it needs a
-    caller-supplied signature database and is deliberately not
-    name-addressable here.) *)
+    the reference hash database, so [libc_db] is part of its digest. *)
 
 val policies_of_names :
   db:(string * string) list -> string list -> (Engarde.Policy.t list, string) result

@@ -185,9 +185,6 @@ let page_perm t ~vaddr =
   let aligned = vaddr - (vaddr mod page_size) in
   Option.map (fun p -> p.perm) (Hashtbl.find_opt t.pages aligned)
 
-let mapped_pages t =
-  Hashtbl.fold (fun vaddr _ acc -> vaddr :: acc) t.pages [] |> List.sort compare
-
 let destroy t =
   Hashtbl.iter
     (fun _ page ->

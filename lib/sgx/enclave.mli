@@ -78,8 +78,5 @@ val emodpr : t -> vaddr:int -> perm:perm -> unit
 val page_perm : t -> vaddr:int -> perm option
 (** EPC-level permissions of the page containing [vaddr], if mapped. *)
 
-val mapped_pages : t -> int list
-(** Page-aligned vaddrs currently backed by EPC, sorted. *)
-
 val destroy : t -> unit
 (** EREMOVE all pages, returning them to the EPC. *)

@@ -37,7 +37,6 @@ let create ?(pages = default_pages) ~seed () =
 
 let capacity t = t.capacity
 let free_pages t = t.n_free
-let slot_index s = s.index
 
 let alloc t =
   match t.free with

@@ -25,8 +25,6 @@ val free_pages : t -> int
 type slot
 (** An allocated EPC page. *)
 
-val slot_index : slot -> int
-
 val alloc : t -> slot
 (** @raise Out_of_epc when the EPC is exhausted. *)
 

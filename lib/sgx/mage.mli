@@ -13,9 +13,6 @@
     This module owns the aux-record codec and the derivation; the fleet
     layer decides what goes into the pre-aux log. *)
 
-val aux_tag : string
-(** Measured-record tag of the auxiliary section ("EGMAGE1\x00"). *)
-
 val aux_of_snapshots : string list -> string
 (** Canonical aux record: member count then each member's pre-aux
     snapshot, in group order. Raises [Invalid_argument] if any snapshot

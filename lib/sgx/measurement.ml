@@ -145,5 +145,3 @@ let finalize t =
       let d = Crypto.Sha256.finalize t.ctx in
       t.digest <- Some d;
       d
-
-let is_final t = t.digest <> None

@@ -58,5 +58,3 @@ val resume : string -> t option
 
 val finalize : t -> string
 (** EINIT: the 32-byte measurement. Idempotent afterwards. *)
-
-val is_final : t -> bool

@@ -18,10 +18,6 @@ type version = V1_0_4 | V1_0_5 | Tampered_1_0_5
 
 val version_to_string : version -> string
 
-val corpus_size : int
-(** Number of functions in the full corpus (including
-    [__stack_chk_fail]). *)
-
 val function_names : string list
 (** All corpus function names; the first entries are the well-known musl
     exports ([memcpy], [strlen], [malloc], ...), the rest are internal

@@ -95,11 +95,6 @@ let link_raw ?(text_addr = 0x1000) ?(strip = false) ?data_addr_override ?(entry_
   in
   { elf; text_addr; data_addr; bss_addr; entry; text = asm.Asm.code; symbols; relocations }
 
-let symbol_addr img name =
-  List.find_map
-    (fun (s : Elf64.Types.symbol) -> if s.st_name = name then Some s.st_value else None)
-    img.symbols
-
 let link ?text_addr ?strip ?data_addr_override (b : Workloads.built) =
   link_raw ?text_addr ?strip ?data_addr_override ~funcs:b.Workloads.funcs
     ~data:b.Workloads.data ~data_symbols:b.Workloads.data_symbols

@@ -27,8 +27,6 @@ val link :
     place [.data] onto the same page as the end of [.text], seeding the
     mixed code/data page violation EnGarde checks for. *)
 
-val symbol_addr : image -> string -> int option
-
 val link_raw :
   ?text_addr:int ->
   ?strip:bool ->

@@ -45,10 +45,6 @@ type profile = {
   target_ifcc : int;         (** paper Figure 5 #Inst. *)
 }
 
-val profile : name -> profile
-
-val target : profile -> Codegen.instrumentation -> int
-
 type built = {
   prof : profile;
   funcs : Asm.func list;         (** _start, app, jump table, libc, pad *)

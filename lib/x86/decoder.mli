@@ -51,9 +51,6 @@ val src_length : src -> int
 val src_of_string : string -> src
 (** A copy of the string in one fresh off-heap buffer. *)
 
-val decode_one_src : src -> pos:int -> (decoded, error) result
-(** Decode the instruction starting at byte [pos]; its [addr] is [pos]. *)
-
 val decode_all_src :
   ?base:int -> ?pos:int -> ?len:int -> src -> (decoded array, error) result
 (** Linear sweep over [len] bytes from [pos] (defaults: the whole

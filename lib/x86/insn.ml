@@ -70,6 +70,18 @@ let ud2 = { mnem = UD2; ops = [] }
 
 let equal a b = a = b
 
+let stack_store i =
+  match (i.mnem, i.ops) with
+  | MOV, [ Reg (_, src); Mem (_, { seg_fs = false; base = Some (Reg.RSP | Reg.RBP); _ }) ] ->
+      Some src
+  | _ -> None
+
+let canary_load i =
+  match (i.mnem, i.ops) with
+  | MOV, [ Mem (_, { seg_fs = true; base = None; index = None; disp = 0x28 }); Reg (_, dst) ] ->
+      Some dst
+  | _ -> None
+
 let cond_name = function
   | E -> "e" | NE -> "ne" | L -> "l" | LE -> "le" | G -> "g" | GE -> "ge"
   | B -> "b" | BE -> "be" | A -> "a" | AE -> "ae" | S -> "s" | NS -> "ns"
@@ -106,5 +118,3 @@ let to_string t =
   match t.ops with
   | [] -> mnem_name t.mnem
   | ops -> mnem_name t.mnem ^ " " ^ String.concat ", " (List.map operand_to_string ops)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

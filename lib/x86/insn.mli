@@ -91,9 +91,23 @@ val ud2 : t
 val mem : ?seg_fs:bool -> ?base:Reg.t -> ?index:Reg.t * int -> int -> mem
 
 val equal : t -> t -> bool
+
+(** {1 Shape predicates} *)
+
+val stack_store : t -> Reg.t option
+(** The stored register of a stack store, [mov %reg, disp(%rsp|%rbp)]
+    without the FS override. The stack policies and the rewriter decide
+    which functions need a canary by this one predicate. *)
+
+val canary_load : t -> Reg.t option
+(** The destination register of a canary load, the shape
+    {!mov_fs_canary} builds: a [mov] from [%fs:0x28] with no base and no
+    index register. An indexed load such as [mov %fs:0x28(,%rcx,8), %rax]
+    reads [fs:0x28 + 8*rcx], not the canary, so it is [None]. Every
+    canary recogniser (the stack policies, the summaries, the rewriter)
+    asks this one predicate. *)
+
 val mnem_name : mnem -> string
+
 val to_string : t -> string
-
 (** AT&T-flavoured rendering, close to objdump output. *)
-
-val pp : Format.formatter -> t -> unit

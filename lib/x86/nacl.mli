@@ -13,7 +13,6 @@ type violation =
   | Unreachable of { off : int }
       (** instruction not reachable from any root *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val bundle_size : int

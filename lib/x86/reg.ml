@@ -31,5 +31,3 @@ let name32 = function
   | R12 -> "%r12d" | R13 -> "%r13d" | R14 -> "%r14d" | R15 -> "%r15d"
 
 let equal a b = number a = number b
-let compare a b = Stdlib.compare (number a) (number b)
-let pp fmt r = Format.pp_print_string fmt (name64 r)

@@ -20,5 +20,3 @@ val name32 : t -> string
 (** 32-bit alias, e.g. ["%eax"], ["%r13d"]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -319,6 +319,101 @@ let policies_never_raise =
       let _ = (Engarde.Policy_lint.make ()).Engarde.Policy.check ctx' in
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Address lookups against a linear scan                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Sorted, non-overlapping half-open ranges from (gap, length) pairs:
+   a zero gap makes a range end exactly where the next starts. *)
+let ranges_of ~base spans =
+  let cursor = ref base in
+  List.map
+    (fun (gap, len) ->
+      let lo = !cursor + gap in
+      cursor := lo + len;
+      (lo, lo + len))
+    spans
+
+(* Every interesting probe of a range table: below and above it all,
+   and each range's start, its neighbours, its last element, its end
+   and one past its end. *)
+let probes_of ~base ranges =
+  (base - 3) :: (base - 1) :: base
+  :: List.concat_map (fun (lo, hi) -> [ lo - 1; lo; lo + 1; hi - 1; hi; hi + 1 ]) ranges
+  @ [ List.fold_left (fun _ (_, hi) -> hi + 7) (base + 7) ranges ]
+
+let first_index p l =
+  let rec go k = function [] -> None | x :: rest -> if p x then Some k else go (k + 1) rest in
+  go 0 l
+
+let show_spans = QCheck.Print.(pair int (list (pair int int)))
+
+let spans_gen ~max_gap =
+  QCheck.Gen.(
+    pair (int_range 0 64)
+      (list_size (int_range 0 8) (pair (oneofl [ 0; 0; 1; max_gap ]) (int_range 1 9))))
+
+(* Both function lookups agree with a linear scan of the table on every
+   probe, whatever the table: empty, one function, gaps between
+   functions, or one function ending where the next starts. *)
+let function_lookup_matches_scan =
+  QCheck.Test.make ~count:500 ~name:"function lookups = linear scan"
+    (QCheck.make ~print:show_spans (spans_gen ~max_gap:5))
+    (fun (base, spans) ->
+      let base = 0x1000 + base in
+      let ranges = ranges_of ~base spans in
+      let fns =
+        Array.of_list
+          (List.map
+             (fun (lo, hi) ->
+               {
+                 Engarde.Analysis.fn_addr = lo;
+                 fn_name = Printf.sprintf "f%x" lo;
+                 fn_end = hi;
+                 fn_slice = None;
+               })
+             ranges)
+      in
+      List.for_all
+        (fun a ->
+          Engarde.Analysis.function_containing fns a
+          = first_index (fun (lo, hi) -> lo <= a && a < hi) ranges
+          && Engarde.Analysis.function_at fns a = first_index (fun (lo, _) -> lo = a) ranges)
+        (probes_of ~base ranges))
+
+(* The block lookup agrees with a linear scan over any partition of an
+   entry-index slice into blocks. *)
+let block_lookup_matches_scan =
+  QCheck.Test.make ~count:500 ~name:"block lookup = linear scan"
+    (QCheck.make ~print:show_spans (spans_gen ~max_gap:0))
+    (fun (base, spans) ->
+      let ranges = ranges_of ~base (List.map (fun (_, len) -> (0, len)) spans) in
+      let blocks =
+        Array.of_list
+          (List.map
+             (fun (b_lo, b_hi) ->
+               { Engarde.Cfg.b_lo; b_hi; b_addr = b_lo; b_succ = []; b_pred = []; b_padding = false })
+             ranges)
+      in
+      let nb = Array.length blocks in
+      let cfg =
+        {
+          Engarde.Cfg.fn =
+            { Engarde.Analysis.fn_addr = 0; fn_name = "f"; fn_end = 0; fn_slice = None };
+          blocks;
+          entry = 0;
+          idom = Array.make nb 0;
+          reachable = Array.make nb true;
+          rpo_order = Array.init nb Fun.id;
+          n_edges = 0;
+        }
+      in
+      List.for_all
+        (fun i ->
+          Engarde.Cfg.block_of_index cfg i
+          = first_index (fun (lo, hi) -> lo <= i && i < hi) ranges)
+        (probes_of ~base ranges))
+
 let () =
   Alcotest.run "cfg"
     [
@@ -341,5 +436,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_mutations;
           QCheck_alcotest.to_alcotest policies_never_raise;
+          QCheck_alcotest.to_alcotest function_lookup_matches_scan;
+          QCheck_alcotest.to_alcotest block_lookup_matches_scan;
         ] );
     ]

@@ -547,52 +547,6 @@ let mux_duplicate_attach () =
   Alcotest.check_raises "duplicate id" (Invalid_argument "Session.Mux.attach: duplicate connection id dup")
     (fun () -> Channel.Session.Mux.attach mux ~id:"dup" ~key:(String.make 32 'k') b2)
 
-let mux_streaming_transfers () =
-  let mux = Channel.Session.Mux.create () in
-  let key = String.make 32 's' in
-  let a, b = Channel.Transport.pair () in
-  Channel.Session.Mux.attach mux ~id:"s1" ~key b;
-  let st = Channel.Session.streamer ~key in
-  let p1 = String.init 9000 (fun i -> Char.chr (i mod 256)) in
-  List.iter (Channel.Transport.send a) (Channel.Session.stream_messages st p1);
-  List.iter (Channel.Transport.send a) (Channel.Session.stream_messages st "second payload");
-  let events = ref [] in
-  while Channel.Session.Mux.pending mux do
-    events := !events @ Channel.Session.Mux.poll mux
-  done;
-  match !events with
-  | [ Channel.Session.Mux.Payload { conn = "s1"; payload = q1 }; Channel.Session.Mux.Payload { conn = "s1"; payload = q2 } ] ->
-      Alcotest.(check string) "first streamed payload" p1 q1;
-      Alcotest.(check string) "second streamed payload" "second payload" q2;
-      Alcotest.(check int) "ratchet between transfers" 1 (Channel.Session.Mux.epoch_updates mux);
-      Alcotest.(check bool) "records counted" true (Channel.Session.Mux.records_received mux >= 4)
-  | _ -> Alcotest.fail "expected exactly two payload events"
-
-let mux_streaming_corrupt_then_recover () =
-  let mux = Channel.Session.Mux.create () in
-  let key = String.make 32 'c' in
-  let a, b = Channel.Transport.pair () in
-  Channel.Session.Mux.attach mux ~id:"c1" ~key b;
-  let st = Channel.Session.streamer ~key in
-  let damaged =
-    mangle_nth 1
-      (function
-        | Channel.Wire.Record { epoch; rn; ciphertext; tag } ->
-            Channel.Wire.Record { epoch; rn; ciphertext = flip_byte ciphertext 3 1; tag }
-        | m -> m)
-      (Channel.Session.stream_messages st (String.make 9000 'x'))
-  in
-  List.iter (Channel.Transport.send a) damaged;
-  List.iter (Channel.Transport.send a) (Channel.Session.stream_messages st "clean retry");
-  let events = ref [] in
-  while Channel.Session.Mux.pending mux do
-    events := !events @ Channel.Session.Mux.poll mux
-  done;
-  match !events with
-  | [ Channel.Session.Mux.Corrupt { conn = "c1"; _ }; Channel.Session.Mux.Payload { conn = "c1"; payload } ] ->
-      Alcotest.(check string) "connection survives a damaged transfer" "clean retry" payload
-  | _ -> Alcotest.failf "expected corrupt then payload, got %d events" (List.length !events)
-
 let () =
   Alcotest.run "channel"
     [
@@ -630,8 +584,6 @@ let () =
         [
           Alcotest.test_case "poll order" `Quick mux_poll_order;
           Alcotest.test_case "duplicate attach" `Quick mux_duplicate_attach;
-          Alcotest.test_case "streaming transfers" `Quick mux_streaming_transfers;
-          Alcotest.test_case "corrupt then recover" `Quick mux_streaming_corrupt_then_recover;
         ] );
       ( "transport",
         [

@@ -760,85 +760,6 @@ let loader_applies_relocations () =
         (r0.Elf64.Types.r_addend + loaded.Engarde.Loader.load_bias) !v
 
 (* ------------------------------------------------------------------ *)
-(* Policy: malware signatures                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A distinctive "C&C beacon" instruction sequence used as the seeded
-   malware body and as the scanner's signature. *)
-let beacon_insns =
-  X86.Insn.[ mov_ri X86.Reg.RDI 0x31337; mov_ri X86.Reg.RSI 0xbeef1; imul_rr X86.Reg.RSI X86.Reg.RDI ]
-
-let malware_policy () =
-  [ Engarde.Policy_malware.make
-      ~signatures:[ Engarde.Policy_malware.signature_of_insns ~sig_name:"botnet/beacon" beacon_insns ] ]
-
-let infected_image () =
-  (* Hand-assemble a small binary embedding the beacon. *)
-  let drbg = Crypto.Fastrand.create "malware" in
-  let clean =
-    Codegen.gen_function drbg Codegen.plain
-      ~entry_of_table:(fun _ -> "")
-      { Codegen.name = "worker"; body_size = 40; calls = []; data_refs = []; protected = false;
-        stack_density = 0.1 }
-  in
-  let payload =
-    { Asm.fname = "update_check";
-      items = List.map (fun i -> Asm.Ins i) beacon_insns @ [ Asm.Ins X86.Insn.ret ] }
-  in
-  let funcs = [ Codegen.gen_start ~main:"worker"; clean; payload ] in
-  let asm = Asm.assemble ~base:0x1000 funcs in
-  let symbols =
-    List.map
-      (fun (name, off, size) ->
-        Elf64.Types.{ st_name = name; st_value = 0x1000 + off; st_size = size;
-                      st_info = (stb_global lsl 4) lor stt_func })
-      asm.Asm.functions
-  in
-  Elf64.Writer.build
-    { Elf64.Writer.default_input with
-      Elf64.Writer.entry = 0x1000; text_addr = 0x1000; text = asm.Asm.code; symbols }
-
-let malware_policy_flags_beacon () =
-  let elf = Result.get_ok (Elf64.Reader.parse (infected_image ())) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
-  in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
-  match (List.hd (malware_policy ())).Engarde.Policy.check ctx with
-  | Engarde.Policy.Violations _ as v ->
-      Alcotest.(check bool) "names the signature" true
-        (Astring.String.is_infix ~affix:"botnet/beacon" (why v))
-  | Engarde.Policy.Compliant -> Alcotest.fail "beacon not detected"
-
-let malware_policy_passes_clean () =
-  let ctx, _ = context_of_image (Lazy.force mcf_plain) in
-  match (List.hd (malware_policy ())).Engarde.Policy.check ctx with
-  | Engarde.Policy.Compliant -> ()
-  | Engarde.Policy.Violations _ as v -> Alcotest.failf "false positive: %s" (why v)
-
-let malware_policy_in_provisioning () =
-  (* The handmade image keeps Writer's default data/bss addresses, so
-     its file spans ~3 MB: give the staging heap room. *)
-  let cfg = { fast_config with Engarde.Provision.heap_pages = 1024 } in
-  let o =
-    Engarde.Provision.run ~policies:(malware_policy ()) cfg ~payload:(infected_image ())
-  in
-  match o.Engarde.Provision.result with
-  | Error (Engarde.Provision.Policy_violations _) -> ()
-  | Ok _ -> Alcotest.fail "infected binary provisioned"
-  | Error r -> Alcotest.failf "wrong rejection: %s" (Engarde.Provision.rejection_to_string r)
-
-let malware_policy_rejects_short_signature () =
-  Alcotest.check_raises "short pattern"
-    (Invalid_argument "Policy_malware: signature too short: x") (fun () ->
-      ignore
-        (Engarde.Policy_malware.make
-           ~signatures:[ { Engarde.Policy_malware.sig_name = "x"; pattern = "ab" } ]))
-
-(* ------------------------------------------------------------------ *)
 (* Failure injection                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1017,13 +938,6 @@ let () =
             provisioning_different_policies_different_measurement;
           Alcotest.test_case "seals against extension" `Slow provisioning_seals_against_extension;
           Alcotest.test_case "relocations applied" `Slow loader_applies_relocations;
-        ] );
-      ( "policy-malware",
-        [
-          Alcotest.test_case "flags beacon" `Quick malware_policy_flags_beacon;
-          Alcotest.test_case "passes clean binary" `Quick malware_policy_passes_clean;
-          Alcotest.test_case "rejects in provisioning" `Slow malware_policy_in_provisioning;
-          Alcotest.test_case "rejects short signature" `Quick malware_policy_rejects_short_signature;
         ] );
       ( "findings",
         [

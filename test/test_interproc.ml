@@ -419,7 +419,10 @@ let oracle_on_member_site () =
   let idx = ctx.Engarde.Policy.index in
   let g = Engarde.Policy.callgraph_of ctx in
   let k =
-    match Engarde.Callgraph.function_index g ~addr:last_member.Engarde.Analysis.fn_addr with
+    match
+      Engarde.Analysis.function_at idx.Engarde.Analysis.functions
+        last_member.Engarde.Analysis.fn_addr
+    with
     | Some k -> k
     | None -> Alcotest.fail "no index for the last table stub"
   in

@@ -10,9 +10,9 @@ open Toolchain
 let db = Libc.hash_db Libc.V1_0_5
 let exempt = Libc.function_names
 
-let context_of_image (img : Linker.image) =
+let context_of_elf elf =
   let analysis_perf = Sgx.Perf.create () in
-  match Elf64.Reader.parse img.Linker.elf with
+  match Elf64.Reader.parse elf with
   | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
   | Ok elf -> (
       let text = List.hd (Elf64.Reader.text_sections elf) in
@@ -28,6 +28,8 @@ let context_of_image (img : Linker.image) =
             perf,
             cfg_perf,
             analysis_perf ))
+
+let context_of_image (img : Linker.image) = context_of_elf img.Linker.elf
 
 let native_policies () =
   [
@@ -308,6 +310,65 @@ let stale_sealed_state () =
   | Ok _ -> Alcotest.fail "v1 sealed state accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Canary recognition                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every [mov %fs:0x28, %reg] of an image, rewritten in place to
+   [mov %fs:0x28(,%rcx,8), %reg]: the same 9 bytes (fs prefix, REX.W,
+   8b, ModRM with a SIB byte, SIB, disp32 0x28) but for the SIB, 0x25
+   (no index, no base) -> 0xcd (index rcx, scale 8, no base). The
+   rewritten load reads fs:0x28 + 8*rcx, not the canary. Returns the
+   new bytes and the number of loads rewritten. *)
+let index_canary_loads elf =
+  let b = Bytes.of_string elf in
+  let n = ref 0 in
+  for i = 0 to Bytes.length b - 9 do
+    let at k = Char.code (Bytes.get b (i + k)) in
+    if
+      at 0 = 0x64
+      && (at 1 = 0x48 || at 1 = 0x4c)
+      && at 2 = 0x8b
+      && at 3 land 0xc7 = 0x04
+      && at 4 = 0x25
+      && at 5 = 0x28 && at 6 = 0 && at 7 = 0 && at 8 = 0
+    then begin
+      Bytes.set b (i + 4) '\xcd';
+      incr n
+    end
+  done;
+  (Bytes.to_string b, !n)
+
+(* The stack policies accept stack-protected 429.mcf and must reject it
+   once its canary loads are indexed: native [stack], [stack-pattern]
+   and [stack-interproc], and the DSL [stack] program. *)
+let indexed_canary_rejected () =
+  let elf = (Linker.link (Workloads.build Codegen.with_stack_protector Workloads.Mcf)).Linker.elf in
+  let flipped, n = index_canary_loads elf in
+  Alcotest.(check int) "canary loads rewritten" 24 n;
+  let native name () =
+    match Service.Scheduler.policies_of_names ~db [ name ] with
+    | Ok [ p ] -> p
+    | _ -> Alcotest.failf "no builtin %s" name
+  in
+  let dsl () =
+    Policyvm.Vm.policy ~vm_perf:(Sgx.Perf.create ()) (List.assoc "stack" (builtin_programs ()))
+  in
+  List.iter
+    (fun (mode, make) ->
+      let compliant elf =
+        let ctx, _, _, _ = context_of_elf elf in
+        (make ()).Engarde.Policy.check ctx = Engarde.Policy.Compliant
+      in
+      Alcotest.(check bool) (mode ^ " accepts the canary") true (compliant elf);
+      Alcotest.(check bool) (mode ^ " rejects an indexed fs load") false (compliant flipped))
+    [
+      ("stack", native "stack");
+      ("stack-pattern", native "stack-pattern");
+      ("stack-interproc", native "stack-interproc");
+      ("DSL stack", dsl);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -406,6 +467,7 @@ let tests =
         Alcotest.test_case "DSL = native on mcf + adversarial" `Quick differential_small;
         Alcotest.test_case "native modules = golden table" `Quick golden_native;
         Alcotest.test_case "DSL programs = golden table" `Quick golden_dsl;
+        Alcotest.test_case "indexed fs load is no canary" `Quick indexed_canary_rejected;
       ] );
     ( "negotiation",
       [

@@ -29,11 +29,11 @@ let plain_mcf = lazy (Linker.link (Workloads.build Codegen.plain Workloads.Mcf))
 let rewritten_mcf =
   lazy
     (match
-       Engarde.Rewrite.add_stack_protection ~exempt:Libc.function_names
+       Toolchain.Rewrite.add_stack_protection ~exempt:Libc.function_names
          (parse (Lazy.force plain_mcf).Linker.elf)
      with
     | Ok raw -> raw
-    | Error e -> Alcotest.failf "rewrite failed: %s" (Engarde.Rewrite.error_to_string e))
+    | Error e -> Alcotest.failf "rewrite failed: %s" (Toolchain.Rewrite.error_to_string e))
 
 let rejected_before_accepted_after () =
   (* Before: rejected. *)
@@ -102,8 +102,8 @@ let rewrite_idempotent_on_protected () =
      either has a canary or is exempt, so the policy passes and a second
      rewrite leaves the verdict unchanged. *)
   let img = Linker.link (Workloads.build Codegen.with_stack_protector Workloads.Mcf) in
-  match Engarde.Rewrite.add_stack_protection ~exempt:Libc.function_names (parse img.Linker.elf) with
-  | Error e -> Alcotest.failf "rewrite failed: %s" (Engarde.Rewrite.error_to_string e)
+  match Toolchain.Rewrite.add_stack_protection ~exempt:Libc.function_names (parse img.Linker.elf) with
+  | Error e -> Alcotest.failf "rewrite failed: %s" (Toolchain.Rewrite.error_to_string e)
   | Ok raw -> (
       match (stack_policy ()).Engarde.Policy.check (ctx_of raw) with
       | Engarde.Policy.Compliant -> ()
@@ -111,14 +111,14 @@ let rewrite_idempotent_on_protected () =
 
 let rewrite_rejects_stripped () =
   let img = Linker.link ~strip:true (Workloads.build Codegen.plain Workloads.Mcf) in
-  match Engarde.Rewrite.add_stack_protection (parse img.Linker.elf) with
-  | Error (Engarde.Rewrite.Not_rewritable _) -> ()
+  match Toolchain.Rewrite.add_stack_protection (parse img.Linker.elf) with
+  | Error (Toolchain.Rewrite.Not_rewritable _) -> ()
   | Ok _ -> Alcotest.fail "stripped binary rewritten"
 
 let rewrite_rejects_ifcc_tables () =
   let img = Linker.link (Workloads.build Codegen.with_ifcc Workloads.Otpgen) in
-  match Engarde.Rewrite.add_stack_protection (parse img.Linker.elf) with
-  | Error (Engarde.Rewrite.Not_rewritable why) ->
+  match Toolchain.Rewrite.add_stack_protection (parse img.Linker.elf) with
+  | Error (Toolchain.Rewrite.Not_rewritable why) ->
       Alcotest.(check bool) "mentions tables" true
         (Astring.String.is_infix ~affix:"jump table" why)
   | Ok _ -> Alcotest.fail "IFCC binary rewritten"
